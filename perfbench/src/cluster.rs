@@ -9,19 +9,21 @@
 //! a change that helps small frames but hurts blobs shows here.
 
 use std::io;
+use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use snn_cluster::{Cluster, ClusterConfig, ShardId};
 use snn_obs::{Snapshot, TraceNode, TraceTree};
 use snn_serve::{ServeLimits, ServerConfig};
 
-use crate::fleet::{self, need, Fleet, PhaseSpec, BATCH};
+use crate::fleet::{self, Backend, Fleet, PhaseSpec, Shape};
 use crate::json::Value;
-use crate::openloop::{self, run_phase, Kind, PhaseRun, PhaseStats, Target};
+use crate::openloop::{Kind, PhaseRun};
 use crate::spans::Tracer;
-use crate::stats::{median, min_samples_for, percentile};
+use crate::stats::{median, min_samples_for};
 use crate::wire::{self, Conn};
-use crate::{gate, peak_rss_mb, Args, Outcome, LIMIT_P90_MS};
+use crate::{Args, Outcome};
 
 /// The fixed offered ingest rate in samples per second across all
 /// sessions, about a fifth of this workload's capacity on the reference
@@ -43,69 +45,42 @@ const CHECKPOINT_EVERY: u32 = 4;
 /// One live migration per this interval while a phase runs.
 pub const MIGRATE_EVERY: Duration = Duration::from_millis(250);
 
-/// Set-ups per run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 3;
+/// Set-ups per run, half before and half after the timed phases;
+/// `setup_s` is their median.
+const SETUP_REPEATS: usize = 8;
 
 /// Request ids traced through `cluster-trace` after the headline phase.
 const TRACED_RIDS: usize = 8;
 
-fn phases(args: &Args) -> Vec<PhaseSpec> {
-    let frac = |f: f64| Duration::from_secs_f64(args.seconds as f64 * f);
-    let p95 = min_samples_for(95.0);
-    let mut phases = vec![PhaseSpec::new("main", RATE_SPS, frac(0.8), p95)];
-    if args.trace {
-        // The untraced twin of the phase, for `trace_overhead`.
-        phases.push(PhaseSpec::new("main.untraced", RATE_SPS, frac(0.8), p95));
+fn shape(args: &Args) -> Shape {
+    let window = Duration::from_secs_f64(args.seconds as f64 * 0.8);
+    Shape {
+        sizes: &SIZES,
+        phases: vec![PhaseSpec::new(
+            "main",
+            RATE_SPS,
+            window,
+            min_samples_for(95.0),
+        )],
+        headline: "main",
+        rungs: &["main"],
+        checkpoint_every: Some(CHECKPOINT_EVERY),
+        setup_repeats: SETUP_REPEATS,
     }
-    for p in &mut phases {
-        p.traced = args.trace && p.name == "main";
-    }
-    phases
 }
 
 fn other(e: impl std::fmt::Display) -> io::Error {
     io::Error::other(e.to_string())
 }
 
-struct Live {
-    fleet: Fleet,
+struct Routed {
     cluster: Cluster,
-    conn: Conn,
-}
-
-fn set_up(args: &Args, phases: &[PhaseSpec]) -> io::Result<Live> {
-    let fleet = Fleet::build(
-        args.seed,
-        fleet::specs(&SIZES),
-        phases,
-        Some(CHECKPOINT_EVERY),
-    );
-    let cluster = Cluster::start("127.0.0.1:0", ClusterConfig::default())?;
-    for shard in 0..2 {
-        // Evicted sessions would land here; the shards never write anywhere
-        // outside the run's own directory.
-        let dir = args
-            .out_dir()
-            .join(format!("evict-{}-{shard}", cluster.local_addr().port()));
-        std::fs::create_dir_all(&dir)?;
-        cluster
-            .spawn_shard(ServerConfig {
-                limits: ServeLimits {
-                    max_sessions: SIZES.len() + 1,
-                    ..ServeLimits::default()
-                },
-                evict_dir: Some(dir),
-                ..ServerConfig::default()
-            })
-            .map_err(other)?;
-    }
-    let mut conn = Conn::connect(cluster.local_addr())?;
-    fleet.open_phase(&mut conn, 0)?;
-    Ok(Live {
-        fleet,
-        cluster,
-        conn,
-    })
+    trace: bool,
+    /// The shards' eviction directories, removed at shutdown.
+    evict_dirs: Vec<PathBuf>,
+    checkpoint_ms: Vec<f64>,
+    migrate_ms: Vec<f64>,
+    detail: Value,
 }
 
 /// The shard that is not `here` (the cluster has two).
@@ -179,61 +154,76 @@ fn relay_bytes(s: &Snapshot) -> u64 {
         .sum()
 }
 
-pub fn run(args: &Args) -> io::Result<Outcome> {
-    let phases = phases(args);
-    let mut setups = Vec::new();
-    let mut live = None;
-    for _ in 0..SETUP_REPEATS {
-        if let Some(old) = live.take() {
-            let Live { cluster, conn, .. } = old;
-            drop(conn);
-            cluster.shutdown();
-        }
-        let t0 = Instant::now();
-        live = Some(set_up(args, &phases)?);
-        setups.push(t0.elapsed().as_secs_f64());
-    }
-    let Live {
-        mut fleet,
-        cluster,
-        mut conn,
-    } = live.expect("at least one set-up");
+impl Backend for Routed {
+    const SCRAPE: &'static str = "cluster-metrics";
 
-    let mut out = Outcome::default();
-    let tracer = Tracer::new(args.trace);
-    let untraced = Tracer::new(false);
-    let n = fleet.n;
-    let mut scrape_ms = Vec::new();
-    let mut last = None;
-    let mut all_stats: Vec<PhaseStats> = Vec::new();
-    let mut detail_phases = Vec::new();
-    let (mut migrate_ms, mut ckpt_ms, mut relay_ms) = (Vec::new(), Vec::new(), Vec::new());
-    let mut gen_lag_ms: f64 = 0.0;
-    let mut rejects = 0.0;
-    for (p, ph) in phases.iter().enumerate() {
-        if p > 0 {
-            fleet.open_phase(&mut conn, p)?;
+    fn start(args: &Args) -> io::Result<Self> {
+        let cluster = Cluster::start("127.0.0.1:0", ClusterConfig::default())?;
+        let mut evict_dirs = Vec::new();
+        for shard in 0..2 {
+            // Evicted sessions would land here; the shards never write
+            // anywhere outside the run's own directory.
+            let dir = args
+                .out_dir()
+                .join(format!("evict-{}-{shard}", cluster.local_addr().port()));
+            std::fs::create_dir_all(&dir)?;
+            cluster
+                .spawn_shard(ServerConfig {
+                    limits: ServeLimits {
+                        max_sessions: SIZES.len() + 1,
+                        ..ServeLimits::default()
+                    },
+                    evict_dir: Some(dir.clone()),
+                    ..ServerConfig::default()
+                })
+                .map_err(other)?;
+            evict_dirs.push(dir);
         }
-        let (snap, ms) = fleet::timed_scrape(&mut conn, "cluster-metrics")?;
-        scrape_ms.push(ms);
-        let target = Target {
-            ids: &fleet.ids,
-            batches: &fleet.batches,
-        };
+        let mut detail = Value::obj();
+        detail.set("rate_sps", RATE_SPS);
+        Ok(Routed {
+            cluster,
+            trace: args.trace,
+            evict_dirs,
+            checkpoint_ms: Vec::new(),
+            migrate_ms: Vec::new(),
+            detail,
+        })
+    }
+
+    fn addr(&self) -> SocketAddr {
+        self.cluster.local_addr()
+    }
+
+    fn shutdown(self) {
+        self.cluster.shutdown();
+        for dir in &self.evict_dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        if let Some(run_dir) = self.evict_dirs.first().and_then(|d| d.parent()) {
+            // Gone only if nothing else (spans) lives there.
+            let _ = std::fs::remove_dir(run_dir);
+        }
+    }
+
+    /// The phase's traffic, with a control thread live-migrating one
+    /// session per [`MIGRATE_EVERY`] alongside it.
+    fn drive(
+        &mut self,
+        conn: &mut Conn,
+        fleet: &Fleet,
+        p: usize,
+        tracer: &Tracer,
+        out: &mut Outcome,
+        detail: &mut Value,
+    ) -> io::Result<PhaseRun> {
+        let ph = &fleet.phases[p];
         let until = Instant::now() + ph.window;
+        let cluster = &self.cluster;
         let (run, (moves, move_failures)) = std::thread::scope(|s| {
             let ids = &fleet.ids[fleet.phase_sessions(p)];
-            let mover = s.spawn(|| migrate_loop(&cluster, ids, until));
-            let run = run_phase(
-                &mut conn,
-                &target,
-                ph.name,
-                ph.rate_sps,
-                &fleet.plans[p],
-                ph.window,
-                args.trace.then_some(ph.name),
-                if ph.traced { &tracer } else { &untraced },
-            );
+            let mover = s.spawn(|| migrate_loop(cluster, ids, until));
+            let run = fleet.run_phase(conn, p, self.trace.then_some(ph.name), tracer);
             (run, mover.join().expect("migration thread panicked"))
         });
         let run = run?;
@@ -244,131 +234,71 @@ pub fn run(args: &Args) -> io::Result<Outcome> {
             .map(|s| s.sessions)
             .max()
             .unwrap_or(0);
-        let (after, ms) = fleet::timed_scrape(&mut conn, "cluster-metrics")?;
-        scrape_ms.push(ms);
-        let st = PhaseStats::of(&run, n, BATCH, LIMIT_P90_MS);
-        for r in &run.records {
-            out.attempted += u64::from(r.attempts);
-            out.failed += u64::from(r.refused) + u64::from(!r.ok);
-        }
         out.attempted += moves.len() as u64 + move_failures;
         out.failed += move_failures;
-        gen_lag_ms = gen_lag_ms.max(st.gen_lag_ms);
-        rejects += fleet::backpressure(&snap, &after);
-        match ph.name {
-            "main" => {
-                migrate_ms.extend(&moves);
-                ckpt_ms.extend(
-                    run.records
-                        .iter()
-                        .filter(|r| r.kind == Kind::Checkpoint)
-                        .map(|r| r.latency_ms()),
-                );
-                out.put("ingest_p50_ms", need(st.p50_ms, "p50")?);
-                out.put("train_sps", st.achieved_sps);
-                out.put("infer_sps", fleet::server_infer_sps(&snap, &after, &run));
-                for (k, v) in fleet::server_layers(&snap, &after, ph.window)
-                    .into_iter()
-                    .chain(fleet::codec_layers(&snap, &after))
-                    .chain(fleet::client_layers(&run))
-                {
-                    out.put(k, v);
-                }
-                let d = |name: &str| after.counter(name).saturating_sub(snap.counter(name)) as f64;
-                out.put("cluster.relays", d("cluster.relays"));
-                out.put(
-                    "cluster.relay_bytes",
-                    relay_bytes(&after).saturating_sub(relay_bytes(&snap)) as f64,
-                );
-                let (a, b) = (
-                    snap.histogram("cluster.migrate_bytes"),
-                    after.histogram("cluster.migrate_bytes"),
-                );
-                let moved = b.count().saturating_sub(a.count()).max(1);
-                out.put(
-                    "cluster.migrate_bytes",
-                    b.sum.saturating_sub(a.sum) as f64 / moved as f64,
-                );
-                out.put("cluster.sessions_per_shard_max", shards_max as f64);
-                if args.trace {
-                    relay_ms = relay_self_ms(&mut conn, &run)?;
-                }
-            }
-            "main.untraced" => {
-                let traced = out.values["ingest_p50_ms"];
-                let plain = need(st.p50_ms, "untraced p50")?;
-                out.put("trace_overhead", (traced - plain) / plain);
-            }
-            _ => {}
-        }
-        let mut d = st.json();
-        d.set("migrations", moves.len())
+        detail
+            .set("migrations", moves.len())
             .set("migration_failures", move_failures)
             .set("sessions_per_shard_max", shards_max);
-        detail_phases.push(d);
-        all_stats.push(st);
-        fleet.absorb(&run);
-        fleet.finish_phase(&mut conn, p)?;
-        last = Some(after);
+        self.migrate_ms.extend(&moves);
+        self.checkpoint_ms.extend(
+            run.records
+                .iter()
+                .filter(|r| r.kind == Kind::Checkpoint)
+                .map(|r| r.latency_ms()),
+        );
+        out.put("cluster.sessions_per_shard_max", shards_max as f64);
+        Ok(run)
     }
-    out.put("peak_rss_mb", peak_rss_mb());
-    let spans_dropped = last.map_or(0, |s| s.counter("obs.spans_dropped"));
-    drop(conn);
-    cluster.shutdown();
-    // Only the (empty) eviction directories live there so far.
-    let _ = std::fs::remove_dir_all(args.out_dir());
 
-    let (setup_s, setup_detail) = fleet::setup_summary(&setups);
-    out.put("setup_s", setup_s);
-    fleet::energy_metrics(&mut out, &fleet);
-    out.put("prequential_acc", fleet.prequential_acc());
-    out.put(
-        "checkpoint_p50_ms",
-        need(percentile(&ckpt_ms, 50.0), "checkpoint p50")?,
-    );
-    out.put(
-        "migrate_p50_ms",
-        need(percentile(&migrate_ms, 50.0), "migrate p50")?,
-    );
-    out.put(
-        "max_sps",
-        openloop::max_sps(&all_stats, LIMIT_P90_MS).unwrap_or(0.0),
-    );
-
-    // The output check: excluded from every metric above.
-    for m in gate::replay(&fleet.logs(), 2) {
-        out.mismatch(m);
-    }
-    out.put("ok_rate", out.ok_rate());
-
-    let mut detail = Value::obj();
-    detail
-        .set("rate_sps", RATE_SPS)
-        .set(
-            "sizes",
-            Value::Arr(SIZES.iter().map(|&s| s.into()).collect()),
-        )
-        .set("setup_s", setup_detail)
-        .set("phases", Value::Arr(detail_phases))
-        .set("checkpoint_requests", ckpt_ms.len())
-        .set("migrations", migrate_ms.len())
-        .set("samples_served", fleet.samples_served());
-    if args.trace {
-        out.put("serve.gen_lag_ms.max", gen_lag_ms);
-        out.put("serve.backpressure_rejects", rejects);
-        let (enc, dec) = fleet::frame_codec_us(&fleet, 256);
-        out.put("serve.frame_encode_us", enc);
-        out.put("serve.frame_decode_us", dec);
-        if !relay_ms.is_empty() {
-            out.put("cluster.relay_self_ms", median(&relay_ms));
+    /// Relay, migration and codec figures of the phase; on traced runs the
+    /// relay's self time from `cluster-trace`.
+    fn headline(
+        &mut self,
+        conn: &mut Conn,
+        _fleet: &mut Fleet,
+        _p: usize,
+        run: &PhaseRun,
+        (before, after): (&Snapshot, &Snapshot),
+        out: &mut Outcome,
+    ) -> io::Result<()> {
+        for (k, v) in fleet::codec_layers(before, after) {
+            out.put(k, v);
         }
-        detail.set("relay_self_ms_samples", relay_ms.len());
-        out.put("obs.scrape_ms", median(&scrape_ms));
-        out.put("obs.spans_dropped", spans_dropped as f64);
-        let path = args.out_dir().join("spans.jsonl");
-        tracer.write_jsonl(&path)?;
-        detail.set("spans", path.display().to_string());
+        let d = |name: &str| after.counter(name).saturating_sub(before.counter(name)) as f64;
+        out.put("cluster.relays", d("cluster.relays"));
+        out.put(
+            "cluster.relay_bytes",
+            relay_bytes(after).saturating_sub(relay_bytes(before)) as f64,
+        );
+        let (a, b) = (
+            before.histogram("cluster.migrate_bytes"),
+            after.histogram("cluster.migrate_bytes"),
+        );
+        let moved = b.count().saturating_sub(a.count()).max(1);
+        out.put(
+            "cluster.migrate_bytes",
+            b.sum.saturating_sub(a.sum) as f64 / moved as f64,
+        );
+        if self.trace {
+            let relay_ms = relay_self_ms(conn, run)?;
+            if !relay_ms.is_empty() {
+                out.put("cluster.relay_self_ms", median(&relay_ms));
+            }
+            self.detail.set("relay_self_ms_samples", relay_ms.len());
+        }
+        Ok(())
     }
+
+    fn results(&self) -> (&[f64], &[f64], Value) {
+        (&self.checkpoint_ms, &self.migrate_ms, self.detail.clone())
+    }
+}
+
+/// The one phase runs at a fixed light rate, so `max_sps` there is its
+/// achieved rate, equal to `train_sps` while p90 meets the limit.
+pub fn run(args: &Args) -> io::Result<Outcome> {
+    let (mut out, detail) = fleet::run::<Routed>(args, &shape(args))?;
     out.detail = detail;
     Ok(out)
 }

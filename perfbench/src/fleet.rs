@@ -1,8 +1,10 @@
 //! What the two wire workloads share: a fleet of learner sessions with
 //! mixed network sizes, their pre-generated streams, the open-loop phase
-//! plans, the server-side scrape deltas and the output check.
+//! plans, the phase loop ([`run`]), the server-side scrape deltas and the
+//! output check.
 
 use std::io;
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use snn_core::rng::derive_seed;
@@ -11,13 +13,14 @@ use snn_obs::{HistogramSnapshot, Snapshot};
 use snn_serve::SessionSpec;
 use spikedyn::Method;
 
-use crate::gate::SessionLog;
+use crate::gate::{self, SessionLog};
 use crate::json::Value;
-use crate::openloop::{Kind, PhaseRun, Planned};
+use crate::openloop::{self, Kind, PhaseRun, PhaseStats, Planned, Target};
 use crate::schedule::{phase_duration, phase_schedule};
+use crate::spans::Tracer;
 use crate::stats::{median, percentile};
 use crate::wire::{self, Conn};
-use crate::Outcome;
+use crate::{peak_rss_mb, Args, Outcome, LIMIT_P90_MS};
 
 /// Samples per `ingest` request (the paper's batch size).
 pub const BATCH: usize = 8;
@@ -29,8 +32,6 @@ pub struct PhaseSpec {
     /// Offered ingest rate, samples per second across all sessions.
     pub rate_sps: f64,
     pub window: Duration,
-    /// Whether the phase records spans (only on traced runs).
-    pub traced: bool,
 }
 
 impl PhaseSpec {
@@ -41,7 +42,6 @@ impl PhaseSpec {
             name,
             rate_sps,
             window: phase_duration(nominal, min_ingests, rate_sps, BATCH),
-            traced: false,
         }
     }
 }
@@ -52,7 +52,7 @@ impl PhaseSpec {
 /// closed after it ends: a learner's per-sample cost changes as it trains,
 /// so fresh sessions make each phase measure the same work whatever ran
 /// before it. Session `g = phase · n + i` is phase `phase`'s copy of base
-/// session `i`.
+/// session `i`, with its spec and a prefix of its stream.
 pub struct Fleet {
     /// Sessions per phase.
     pub n: usize,
@@ -62,6 +62,7 @@ pub struct Fleet {
     pub ids: Vec<String>,
     /// Every batch each session will send, in order.
     pub batches: Vec<Vec<Vec<Image>>>,
+    pub phases: Vec<PhaseSpec>,
     /// Per phase, the planned requests sorted by due time.
     pub plans: Vec<Vec<Planned>>,
     /// Predictions returned for each session's batches, in order.
@@ -140,21 +141,33 @@ impl Fleet {
                     .collect()
             })
             .collect();
+        // One stream per base session, as long as its longest phase needs.
+        // Every phase's copy learns a prefix of it, so phases differ in load
+        // and length only: with a stream of its own per phase, the content
+        // alone moved a rung's p90 by half.
         let classes: Vec<u8> = (0..10).collect();
-        let batches = (0..total)
-            .map(|g| {
-                let i = g % n;
+        let streams: Vec<Vec<Vec<Image>>> = (0..n)
+            .map(|i| {
                 let scenario = Scenario::all()[i % Scenario::all().len()];
-                let gen = SyntheticDigits::new(derive_seed(FIXED_SEED, 100 + g as u64));
-                let scenario_seed = derive_seed(FIXED_SEED, 100 + i as u64);
-                let samples = (cursor[g] * BATCH) as u64;
+                let seed = derive_seed(FIXED_SEED, 100 + i as u64);
+                let longest = (0..phases.len()).map(|p| cursor[p * n + i]).max();
+                let samples = (longest.unwrap_or(0) * BATCH) as u64;
                 let stream: Vec<Image> = scenario
-                    .stream(&gen, &classes, samples.max(1), scenario_seed, 0)
+                    .stream(
+                        &SyntheticDigits::new(seed),
+                        &classes,
+                        samples.max(1),
+                        seed,
+                        0,
+                    )
                     .into_iter()
                     .map(|img| img.downsample(2))
                     .collect();
                 stream.chunks(BATCH).map(<[Image]>::to_vec).collect()
             })
+            .collect();
+        let batches = (0..total)
+            .map(|g| streams[g % n][..cursor[g]].to_vec())
             .collect();
         Fleet {
             n,
@@ -167,12 +180,39 @@ impl Fleet {
             energy: vec![(0.0, 0.0); total],
             batches,
             plans,
+            phases: phases.to_vec(),
         }
     }
 
     /// The global indices of phase `p`'s sessions.
     pub fn phase_sessions(&self, p: usize) -> std::ops::Range<usize> {
         p * self.n..(p + 1) * self.n
+    }
+
+    /// Runs phase `p`'s open-loop traffic over `conn` (see
+    /// [`openloop::run_phase`]).
+    pub fn run_phase(
+        &self,
+        conn: &mut Conn,
+        p: usize,
+        rid_prefix: Option<&str>,
+        tracer: &Tracer,
+    ) -> io::Result<PhaseRun> {
+        let ph = &self.phases[p];
+        let target = Target {
+            ids: &self.ids,
+            batches: &self.batches,
+        };
+        openloop::run_phase(
+            conn,
+            &target,
+            ph.name,
+            ph.rate_sps,
+            &self.plans[p],
+            ph.window,
+            rid_prefix,
+            tracer,
+        )
     }
 
     /// Opens phase `p`'s sessions on `conn`.
@@ -467,6 +507,13 @@ pub fn energy_metrics(out: &mut Outcome, fleet: &Fleet) {
     );
 }
 
+/// How many of `repeats` set-ups run before the timed phases; the rest run
+/// after them. The host's speed drifts over seconds, so set-ups spread over
+/// the whole run give a steadier median than set-ups back to back.
+pub fn setups_before(repeats: usize) -> usize {
+    repeats.div_ceil(2)
+}
+
 /// Median of several set-ups, with the individual times for the detail.
 pub fn setup_summary(times: &[f64]) -> (f64, Value) {
     (
@@ -479,4 +526,228 @@ pub fn setup_summary(times: &[f64]) -> (f64, Value) {
 /// the phase plan, reported as an error.
 pub fn need(v: Option<f64>, what: &str) -> io::Result<f64> {
     v.ok_or_else(|| io::Error::other(format!("{what}: too few samples for the percentile")))
+}
+
+/// What a wire workload plugs into [`run`]: the server side it drives, what
+/// runs alongside each phase's traffic, and what its headline phase adds.
+pub trait Backend: Sized {
+    /// The metrics scrape verb (`metrics` or `cluster-metrics`).
+    const SCRAPE: &'static str;
+
+    /// Starts the server side.
+    fn start(args: &Args) -> io::Result<Self>;
+
+    fn addr(&self) -> SocketAddr;
+
+    /// Stops the server side and waits for it.
+    fn shutdown(self);
+
+    /// Runs phase `p`'s open-loop traffic and whatever goes alongside it.
+    /// Requests beyond the traffic count in `out`; figures of the phase go
+    /// into `detail`.
+    fn drive(
+        &mut self,
+        conn: &mut Conn,
+        fleet: &Fleet,
+        p: usize,
+        tracer: &Tracer,
+        out: &mut Outcome,
+        detail: &mut Value,
+    ) -> io::Result<PhaseRun>;
+
+    /// Runs after phase `p`'s traffic and its closing scrape, before the
+    /// headline metrics are read and the phase's sessions close.
+    fn after_phase(
+        &mut self,
+        _conn: &mut Conn,
+        _fleet: &mut Fleet,
+        _p: usize,
+        _out: &mut Outcome,
+    ) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Workload-specific metrics of the headline phase, taken before its
+    /// sessions close, from its run and the scrapes before and after it.
+    fn headline(
+        &mut self,
+        conn: &mut Conn,
+        fleet: &mut Fleet,
+        p: usize,
+        run: &PhaseRun,
+        scrapes: (&Snapshot, &Snapshot),
+        out: &mut Outcome,
+    ) -> io::Result<()>;
+
+    /// The timed checkpoint and migration calls, in ms, and the workload's
+    /// own detail.
+    fn results(&self) -> (&[f64], &[f64], Value);
+}
+
+/// The shape of a wire workload.
+pub struct Shape {
+    pub sizes: &'static [usize],
+    pub phases: Vec<PhaseSpec>,
+    /// The phase whose figures are the headline metrics.
+    pub headline: &'static str,
+    /// The phases `max_sps` is read from (see [`openloop::max_sps`]).
+    pub rungs: &'static [&'static str],
+    /// See [`Fleet::build`].
+    pub checkpoint_every: Option<u32>,
+    /// Set-ups per run; `setup_s` is their median.
+    pub setup_repeats: usize,
+}
+
+/// Starts one set-up: the inputs, the server side, a connection and the
+/// first phase's sessions.
+fn set_up<B: Backend>(args: &Args, shape: &Shape) -> io::Result<(Fleet, B, Conn)> {
+    let fleet = Fleet::build(
+        args.seed,
+        specs(shape.sizes),
+        &shape.phases,
+        shape.checkpoint_every,
+    );
+    let backend = B::start(args)?;
+    let mut conn = Conn::connect(backend.addr())?;
+    fleet.open_phase(&mut conn, 0)?;
+    Ok((fleet, backend, conn))
+}
+
+/// Runs a wire workload: sets it up, drives every phase on fresh sessions
+/// with scrapes around it, sets it up the remaining times, then runs the
+/// output check. Returns the metrics and the run's detail.
+pub fn run<B: Backend>(args: &Args, shape: &Shape) -> io::Result<(Outcome, Value)> {
+    let mut setups = Vec::new();
+    let mut live: Option<(Fleet, B, Conn)> = None;
+    for _ in 0..setups_before(shape.setup_repeats) {
+        if let Some((_, backend, conn)) = live.take() {
+            drop(conn);
+            backend.shutdown();
+        }
+        let t0 = Instant::now();
+        live = Some(set_up(args, shape)?);
+        setups.push(t0.elapsed().as_secs_f64());
+    }
+    let (mut fleet, mut backend, mut conn) = live.expect("at least one set-up");
+
+    let mut out = Outcome::default();
+    let tracer = Tracer::new(args.trace);
+    let mut scrape_ms = Vec::new();
+    let mut stats = Vec::new();
+    let mut detail_phases = Vec::new();
+    let (mut gen_lag_ms, mut rejects): (f64, f64) = (0.0, 0.0);
+    let (mut trace_s, mut phases_s) = (0.0, 0.0);
+    let mut last = None;
+    for p in 0..shape.phases.len() {
+        if p > 0 {
+            fleet.open_phase(&mut conn, p)?;
+        }
+        let (before, ms) = timed_scrape(&mut conn, B::SCRAPE)?;
+        scrape_ms.push(ms);
+        let mut extra = Value::obj();
+        let run = backend.drive(&mut conn, &fleet, p, &tracer, &mut out, &mut extra)?;
+        let (after, ms) = timed_scrape(&mut conn, B::SCRAPE)?;
+        scrape_ms.push(ms);
+        let st = PhaseStats::of(&run, fleet.n, BATCH, LIMIT_P90_MS);
+        for r in &run.records {
+            out.attempted += u64::from(r.attempts);
+            out.failed += u64::from(r.refused) + u64::from(!r.ok);
+        }
+        gen_lag_ms = gen_lag_ms.max(st.gen_lag_ms);
+        rejects += backpressure(&before, &after);
+        trace_s += run.trace_cost.as_secs_f64();
+        phases_s += (run.drained - run.start).as_secs_f64();
+        backend.after_phase(&mut conn, &mut fleet, p, &mut out)?;
+        if run.name == shape.headline {
+            out.put("ingest_p50_ms", need(st.p50_ms, "headline p50")?);
+            out.put("train_sps", st.achieved_sps);
+            out.put("infer_sps", server_infer_sps(&before, &after, &run));
+            let window = fleet.phases[p].window;
+            for (k, v) in server_layers(&before, &after, window)
+                .into_iter()
+                .chain(client_layers(&run))
+            {
+                out.put(k, v);
+            }
+            backend.headline(&mut conn, &mut fleet, p, &run, (&before, &after), &mut out)?;
+        }
+        let mut d = st.json();
+        d.set(
+            "server_ticks",
+            hist_delta(&before, &after, "serve.tick_us").count(),
+        );
+        if let Value::Obj(fields) = extra {
+            for (k, v) in fields {
+                d.set(&k, v);
+            }
+        }
+        detail_phases.push(d);
+        stats.push(st);
+        fleet.absorb(&run);
+        fleet.finish_phase(&mut conn, p)?;
+        last = Some(after);
+    }
+    out.put("peak_rss_mb", peak_rss_mb());
+    let spans_dropped = last.map_or(0, |s| s.counter("obs.spans_dropped"));
+    drop(conn);
+    let (checkpoint_ms, migrate_ms, mut detail) = backend.results();
+    let (checkpoint_p50, migrate_p50) = (
+        need(percentile(checkpoint_ms, 50.0), "checkpoint p50")?,
+        need(percentile(migrate_ms, 50.0), "migrate p50")?,
+    );
+    detail
+        .set("checkpoint_calls", checkpoint_ms.len())
+        .set("migrate_calls", migrate_ms.len());
+    backend.shutdown();
+    while setups.len() < shape.setup_repeats {
+        let t0 = Instant::now();
+        let (_, backend, conn) = set_up::<B>(args, shape)?;
+        setups.push(t0.elapsed().as_secs_f64());
+        drop(conn);
+        backend.shutdown();
+    }
+
+    let (setup_s, setup_detail) = setup_summary(&setups);
+    out.put("setup_s", setup_s);
+    energy_metrics(&mut out, &fleet);
+    out.put("prequential_acc", fleet.prequential_acc());
+    out.put("checkpoint_p50_ms", checkpoint_p50);
+    out.put("migrate_p50_ms", migrate_p50);
+    let rungs: Vec<PhaseStats> = stats
+        .into_iter()
+        .filter(|st| shape.rungs.contains(&st.name))
+        .collect();
+    out.put("max_sps", openloop::max_sps(&rungs, LIMIT_P90_MS));
+
+    // The output check: excluded from every metric above.
+    for m in gate::replay(&fleet.logs(), 2) {
+        out.mismatch(m);
+    }
+    out.put("ok_rate", out.ok_rate());
+
+    detail
+        .set(
+            "sizes",
+            Value::Arr(shape.sizes.iter().map(|&s| s.into()).collect()),
+        )
+        .set("setup_s", setup_detail)
+        .set("phases", Value::Arr(detail_phases))
+        .set("samples_served", fleet.samples_served());
+    if args.trace {
+        out.put("serve.gen_lag_ms.max", gen_lag_ms);
+        out.put("serve.backpressure_rejects", rejects);
+        let (enc, dec) = frame_codec_us(&fleet, 256);
+        out.put("serve.frame_encode_us", enc);
+        out.put("serve.frame_decode_us", dec);
+        out.put("obs.scrape_ms", median(&scrape_ms));
+        out.put("obs.spans_dropped", spans_dropped as f64);
+        // Spans are recorded after each phase drains, so the cost of
+        // tracing is the recording time itself, as a share of the phases'
+        // wall time.
+        out.put("trace_overhead", trace_s / phases_s);
+        let path = args.out_dir().join("spans.jsonl");
+        tracer.write_jsonl(&path)?;
+        detail.set("spans", path.display().to_string());
+    }
+    Ok((out, detail))
 }

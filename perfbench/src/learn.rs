@@ -50,8 +50,9 @@ const EVAL_PER_CLASS: u64 = 100;
 /// migration).
 const CODEC_CYCLES: usize = 100;
 
-/// Set-ups per run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 5;
+/// Set-ups per run, half before and half after the timed phases;
+/// `setup_s` is their median.
+const SETUP_REPEATS: usize = 8;
 
 /// Samples of the traced kernel micro-phase.
 const KERNEL_SAMPLES: usize = 16;
@@ -311,14 +312,17 @@ fn kernel_phase(learner: &OnlineLearner, samples: &[Image], seed: u64) -> [f64; 
 }
 
 pub fn run(args: &Args) -> io::Result<Outcome> {
-    let mut setups = Vec::new();
-    let mut live = None;
-    for _ in 0..SETUP_REPEATS {
+    let set_up = |setups: &mut Vec<f64>| {
         let t0 = Instant::now();
         let inp = inputs(args);
         let learner = OnlineLearner::new(config());
         setups.push(t0.elapsed().as_secs_f64());
-        live = Some((inp, learner));
+        (inp, learner)
+    };
+    let mut setups = Vec::new();
+    let mut live = None;
+    for _ in 0..crate::fleet::setups_before(SETUP_REPEATS) {
+        live = Some(set_up(&mut setups));
     }
     let (inp, mut learner) = live.expect("at least one set-up");
     let mut out = Outcome::default();
@@ -405,6 +409,10 @@ pub fn run(args: &Args) -> io::Result<Outcome> {
         }
     }
 
+    // The remaining set-ups, after the timed phases and the peak RSS read.
+    while setups.len() < SETUP_REPEATS {
+        drop(set_up(&mut setups));
+    }
     let (setup_s, setup_detail) = crate::fleet::setup_summary(&setups);
     out.put("setup_s", setup_s);
     out.put("train_sps", train_sps);
@@ -516,7 +524,8 @@ fn trace_phase(
         out.mismatch("traced mirror diverged from OnlineLearner::ingest_batch".into());
     }
     let untraced_sps = inp.stream.len() as f64 / untraced.wall_s;
-    out.put("trace_overhead", (traced_sps - untraced_sps) / untraced_sps);
+    // Better is lower: the share of the untraced rate that tracing costs.
+    out.put("trace_overhead", (untraced_sps - traced_sps) / untraced_sps);
     let spans = tracer.spans();
     let t = totals(&spans);
     let batches = untraced.batch_ms.len() as f64;

@@ -94,6 +94,9 @@ pub struct PhaseRun {
     pub backlog_end: usize,
     /// How late the generator sent a request whose session was idle.
     pub gen_lag_max: Duration,
+    /// Time spent recording the phase's spans. They are recorded after the
+    /// last reply, so none of it lands on a measured latency.
+    pub trace_cost: Duration,
 }
 
 struct State {
@@ -205,7 +208,8 @@ fn sleep_until(t: Instant) {
 /// starting at `start`, waits until every request completed, and reports
 /// what happened. Requests get `rid=<prefix><index>` when a prefix is
 /// given. When tracing, each request becomes a `client.request` span with
-/// `client.hol_wait` and `client.rtt` children.
+/// `client.hol_wait` and `client.rtt` children, recorded once the phase has
+/// drained.
 #[allow(clippy::too_many_arguments)]
 pub fn run_phase(
     conn: &mut Conn,
@@ -290,6 +294,7 @@ pub fn run_phase(
         .into_iter()
         .map(|r| r.expect("every planned request was sent"))
         .collect();
+    let t0 = Instant::now();
     if tracer.enabled() {
         for (i, r) in records.iter().enumerate() {
             let root = tracer.record("client.request", i as u64, None, r.due, r.done);
@@ -305,6 +310,7 @@ pub fn run_phase(
         records,
         backlog_end,
         gen_lag_max,
+        trace_cost: t0.elapsed(),
     })
 }
 
@@ -377,28 +383,142 @@ impl PhaseStats {
     }
 }
 
-/// The highest sample rate that meets the latency limit. Among the phases
-/// that met it, take the one with the highest offered rate; when the next
-/// offered rate up missed the limit on latency alone, interpolate linearly
-/// between the two on p90 to where p90 equals the limit. Interpolating
-/// keeps the figure from jumping a whole rung when the crossing point moves
-/// a little. `None` when no phase met the limit.
-pub fn max_sps(phases: &[PhaseStats], limit_p90_ms: f64) -> Option<f64> {
-    let mut by_rate: Vec<&PhaseStats> = phases.iter().collect();
-    by_rate.sort_by(|a, b| a.offered_sps.total_cmp(&b.offered_sps));
-    let best = by_rate.iter().rposition(|p| p.met_limit)?;
-    let pass = by_rate[best];
-    let above = by_rate[best + 1..]
-        .iter()
-        .find(|p| p.offered_sps > pass.offered_sps);
-    let interpolated = match (above, pass.p90_ms) {
-        (Some(fail), Some(p_pass)) if !fail.growing && fail.refused == 0 => {
-            fail.p90_ms.filter(|&p_fail| p_fail > p_pass).map(|p_fail| {
-                let t = ((limit_p90_ms - p_pass) / (p_fail - p_pass)).clamp(0.0, 1.0);
-                pass.achieved_sps + t * (fail.achieved_sps - pass.achieved_sps)
-            })
+/// The closest non-decreasing sequence to `ys` in weighted least squares
+/// (pool adjacent violators): each run of values that falls is replaced by
+/// its weighted mean.
+pub fn monotone_fit(ys: &[f64], weights: &[f64]) -> Vec<f64> {
+    // Blocks of (mean, weight, length).
+    let mut blocks: Vec<(f64, f64, usize)> = Vec::new();
+    for (&y, &w) in ys.iter().zip(weights) {
+        blocks.push((y, w, 1));
+        while let [.., (y1, w1, n1), (y2, w2, n2)] = blocks[..] {
+            if y1 <= y2 {
+                break;
+            }
+            blocks.truncate(blocks.len() - 2);
+            blocks.push(((y1 * w1 + y2 * w2) / (w1 + w2), w1 + w2, n1 + n2));
         }
-        _ => None,
+    }
+    blocks
+        .iter()
+        .flat_map(|&(y, _, n)| std::iter::repeat_n(y, n))
+        .collect()
+}
+
+/// The highest sample rate that meets the latency limit, from the rungs of
+/// a ladder of offered rates.
+///
+/// Queueing delay only grows with load, so the rungs' p90s, in order of
+/// offered rate, are first replaced by their [`monotone_fit`] weighted by
+/// requests: one short rung's p90 is noisy, and a noisy low rung would
+/// otherwise cut the ladder short. A rung misses on a fitted p90 above the
+/// limit, a growing backlog or a refusal. The figure is the achieved rate
+/// interpolated on fitted p90 between the rung below the first miss and
+/// the miss, to where p90 equals the limit; the rung's own rate when the
+/// miss was on backlog or refusals alone; the top rung's rate when no rung
+/// misses. When the lowest rung already misses, its rate is scaled by
+/// limit ÷ p90, so the figure keeps falling as the system slows down and
+/// never reads 0.
+pub fn max_sps(rungs: &[PhaseStats], limit_p90_ms: f64) -> f64 {
+    let mut by_rate: Vec<&PhaseStats> = rungs.iter().collect();
+    by_rate.sort_by(|a, b| a.offered_sps.total_cmp(&b.offered_sps));
+    let p90: Vec<f64> = by_rate
+        .iter()
+        .map(|r| r.p90_ms.expect("rungs are sized for a p90"))
+        .collect();
+    let weights: Vec<f64> = by_rate.iter().map(|r| r.ingests.max(1) as f64).collect();
+    let fit = monotone_fit(&p90, &weights);
+    let misses = |i: usize| fit[i] > limit_p90_ms || by_rate[i].growing || by_rate[i].refused > 0;
+    let Some(miss) = (0..by_rate.len()).find(|&i| misses(i)) else {
+        return by_rate.last().expect("at least one rung").achieved_sps;
     };
-    Some(interpolated.unwrap_or(pass.achieved_sps))
+    let fail = by_rate[miss];
+    if miss == 0 {
+        return fail.achieved_sps * (limit_p90_ms / fit[0]).min(1.0);
+    }
+    let pass = by_rate[miss - 1];
+    let (p_pass, p_fail) = (fit[miss - 1], fit[miss]);
+    if p_fail <= limit_p90_ms {
+        return pass.achieved_sps;
+    }
+    let t = (limit_p90_ms - p_pass) / (p_fail - p_pass);
+    pass.achieved_sps + t * (fail.achieved_sps - pass.achieved_sps)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn phase(offered: f64, achieved: f64, p90: f64) -> PhaseStats {
+        PhaseStats {
+            name: "x",
+            offered_sps: offered,
+            ingests: 100,
+            p50_ms: Some(p90 / 2.0),
+            p90_ms: Some(p90),
+            p95_ms: Some(p90),
+            achieved_sps: achieved,
+            backlog_end: 0,
+            growing: false,
+            refused: 0,
+            met_limit: p90 <= 100.0,
+            gen_lag_ms: 0.0,
+        }
+    }
+
+    #[test]
+    fn monotone_fit_pools_falling_runs() {
+        let fit = monotone_fit(&[1.0, 3.0, 2.0, 4.0], &[1.0, 1.0, 3.0, 1.0]);
+        assert_eq!(fit, vec![1.0, 2.25, 2.25, 4.0]);
+        assert_eq!(monotone_fit(&[5.0, 4.0, 3.0], &[1.0; 3]), vec![4.0; 3]);
+        assert_eq!(monotone_fit(&[1.0, 2.0], &[1.0; 2]), vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn max_sps_interpolates_between_the_last_pass_and_the_first_miss() {
+        let phases = [
+            phase(100.0, 100.0, 20.0),
+            phase(300.0, 300.0, 60.0),
+            phase(400.0, 380.0, 140.0),
+        ];
+        // p90 60 → 140 crosses 100 halfway: 300 + 0.5 · (380 − 300).
+        assert!((max_sps(&phases, 100.0) - 340.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn max_sps_pools_a_noisy_low_rung_instead_of_stopping_there() {
+        let phases = [
+            phase(100.0, 100.0, 110.0),
+            phase(200.0, 200.0, 70.0),
+            phase(300.0, 290.0, 190.0),
+        ];
+        // The first two pool to 90 and pass; 90 → 190 crosses 100 at a
+        // tenth: 200 + 0.1 · (290 − 200).
+        assert!((max_sps(&phases, 100.0) - 209.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn max_sps_takes_the_top_rung_when_nothing_missed() {
+        let phases = [phase(300.0, 299.0, 60.0), phase(100.0, 101.0, 20.0)];
+        assert_eq!(max_sps(&phases, 100.0), 299.0);
+    }
+
+    #[test]
+    fn max_sps_stops_below_a_rung_with_a_growing_backlog() {
+        let mut grow = phase(300.0, 250.0, 80.0);
+        grow.growing = true;
+        let phases = [phase(100.0, 100.0, 20.0), phase(200.0, 199.0, 50.0), grow];
+        assert_eq!(max_sps(&phases, 100.0), 199.0);
+    }
+
+    #[test]
+    fn max_sps_never_drops_to_zero_when_every_rung_misses() {
+        let phases = [phase(200.0, 190.0, 400.0), phase(100.0, 100.0, 200.0)];
+        // The lowest rung's rate scaled by limit ÷ p90.
+        assert_eq!(max_sps(&phases, 100.0), 50.0);
+        // A miss on refusals alone (p90 within the limit) keeps the rate.
+        let mut refused = phase(100.0, 98.0, 50.0);
+        refused.refused = 1;
+        assert_eq!(max_sps(&[refused], 100.0), 98.0);
+    }
 }

@@ -6,7 +6,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use snn_data::Image;
-use snn_serve::frame::{verb_code, Frame, FLAG_DATA};
+use snn_serve::frame::{verb_code, Frame, FLAG_DATA, HEADER_BYTES};
 use snn_serve::protocol::{encode_images, parse_response, Response};
 use snn_serve::{SessionSpec, PROTO_V2};
 
@@ -82,6 +82,9 @@ pub fn read_frame(reader: &mut BufReader<TcpStream>) -> io::Result<Frame> {
     }
 }
 
+/// Bytes of the checksum that closes every frame.
+const CHECKSUM_BYTES: usize = 4;
+
 /// A decoded reply frame.
 #[derive(Debug, Clone)]
 pub struct Reply {
@@ -89,13 +92,13 @@ pub struct Reply {
     pub response: Response,
     /// Raw `data=` bytes (checkpoint blobs, scrapes).
     pub payload: Vec<u8>,
-    /// Frame bytes on the wire.
+    /// Frame bytes on the wire: header, head, payload and checksum.
     pub wire_bytes: usize,
 }
 
 impl Reply {
     pub fn from_frame(frame: Frame) -> Reply {
-        let wire_bytes = frame.encode().len();
+        let wire_bytes = HEADER_BYTES + frame.head.len() + frame.payload.len() + CHECKSUM_BYTES;
         let response = parse_response(&frame.head).unwrap_or_else(|e| Response::Err {
             code: "unparseable-reply".to_string(),
             msg: e.to_string(),
