@@ -226,7 +226,30 @@ pub fn peak_rss_mb() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-fn provenance(args: &Args) -> Value {
+/// Steal and total CPU ticks of the whole machine, from the first line of
+/// `/proc/stat`, if it can be read.
+fn cpu_ticks() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let ticks: Vec<u64> = stat
+        .lines()
+        .next()?
+        .split_whitespace()
+        .skip(1)
+        .take(8)
+        .map(|f| f.parse().ok())
+        .collect::<Option<_>>()?;
+    // user nice system idle iowait irq softirq steal
+    Some((*ticks.get(7)?, ticks.iter().sum()))
+}
+
+/// The share of CPU time the hypervisor gave to other guests while the
+/// run lasted: a run that reads high here ran on a contended host.
+fn steal_share(start: Option<(u64, u64)>) -> Option<f64> {
+    let ((s0, t0), (s1, t1)) = (start?, cpu_ticks()?);
+    (t1 > t0).then(|| s1.saturating_sub(s0) as f64 / (t1 - t0) as f64)
+}
+
+fn provenance(args: &Args, steal: Option<f64>) -> Value {
     let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
     let cpu = cpuinfo
         .lines()
@@ -254,6 +277,9 @@ fn provenance(args: &Args) -> Value {
     .set("seed", args.seed)
     .set("seconds", args.seconds)
     .set("trace", args.trace);
+    if let Some(share) = steal {
+        p.set("host_steal_share", share);
+    }
     p
 }
 
@@ -265,6 +291,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let ticks = cpu_ticks();
     let run = match args.workload.as_str() {
         "learn-n400" => learn::run(&args),
         "serve-open" => serve::run(&args),
@@ -297,7 +324,7 @@ fn main() -> ExitCode {
     let correct = outcome.mismatches.is_empty();
     let mut context = Value::obj();
     context
-        .set("provenance", provenance(&args))
+        .set("provenance", provenance(&args, steal_share(ticks)))
         .set("detail", outcome.detail);
     println!("{}", context.render());
     let mut result = Value::obj();
