@@ -103,57 +103,34 @@ pub(crate) struct ClusterObs {
     /// `cluster.wire.p{1,2}.rx_bytes` / `.tx_bytes` — client-facing
     /// bytes on the wire per protocol generation (proto 1 counts line
     /// bytes, proto 2 counts whole frames).
-    pub(crate) wire: WireObs,
-    /// `cluster.relay.p{1,2}.rx_bytes` / `.tx_bytes` — shard-facing
-    /// bytes moved by the relay path, per negotiated backend protocol.
-    /// This pair is what the proto 2 rollout's payload-reduction claim
-    /// is measured on.
+    wire: [WireObs; 2],
+    /// `cluster.relay.p2.rx_bytes` / `.tx_bytes` — shard-facing bytes
+    /// moved by the relay path, which speaks proto 2 only.
     pub(crate) relay_wire: WireObs,
 }
 
-/// Shared handles for one per-protocol byte-counter pair, cloned into
-/// every [`crate::backend::Backend`] so the relay path can count bytes
-/// where they actually move.
+/// Shared handles for one `<prefix>.p<N>.{rx,tx}_bytes` counter pair,
+/// cloned into every [`crate::backend::Backend`] so the relay path can
+/// count bytes where they actually move.
 #[derive(Debug, Clone)]
 pub(crate) struct WireObs {
-    rx: [Arc<Counter>; 2],
-    tx: [Arc<Counter>; 2],
-    /// `<prefix>.p{1,2}.payload_bytes` — bytes the `data=` payloads
-    /// themselves occupied on the wire (hex characters under proto 1,
-    /// raw bytes under proto 2). Only the relay family tracks this; it
-    /// is the denominator-free form of the framing rollout's "proto 2
-    /// moves ≥2× fewer payload bytes" claim.
-    payload: Option<[Arc<Counter>; 2]>,
+    rx: Arc<Counter>,
+    tx: Arc<Counter>,
 }
 
 impl WireObs {
-    /// Pre-creates `<prefix>.p{1,2}.rx_bytes` / `.tx_bytes`, plus
-    /// `.payload_bytes` when the caller tracks payload economics.
-    fn new(registry: &Registry, prefix: &str, with_payload: bool) -> Self {
+    /// Pre-creates `<prefix>.p<proto>.rx_bytes` / `.tx_bytes`.
+    fn new(registry: &Registry, prefix: &str, proto: u32) -> Self {
         WireObs {
-            rx: [1u32, 2].map(|p| registry.counter(&format!("{prefix}.p{p}.rx_bytes"))),
-            tx: [1u32, 2].map(|p| registry.counter(&format!("{prefix}.p{p}.tx_bytes"))),
-            payload: with_payload.then(|| {
-                [1u32, 2].map(|p| registry.counter(&format!("{prefix}.p{p}.payload_bytes")))
-            }),
+            rx: registry.counter(&format!("{prefix}.p{proto}.rx_bytes")),
+            tx: registry.counter(&format!("{prefix}.p{proto}.tx_bytes")),
         }
     }
 
-    /// Counts one exchange's bytes under its protocol generation
-    /// (everything at or above proto 2 shares the binary-framing
-    /// bucket).
-    pub(crate) fn count(&self, proto: u32, rx_bytes: u64, tx_bytes: u64) {
-        let i = usize::from(proto >= 2);
-        self.rx[i].add(rx_bytes);
-        self.tx[i].add(tx_bytes);
-    }
-
-    /// Counts one exchange's payload-on-the-wire bytes (no-op for
-    /// families created without payload tracking).
-    pub(crate) fn count_payload(&self, proto: u32, payload_bytes: u64) {
-        if let Some(payload) = &self.payload {
-            payload[usize::from(proto >= 2)].add(payload_bytes);
-        }
+    /// Counts one exchange's bytes.
+    pub(crate) fn count(&self, rx_bytes: u64, tx_bytes: u64) {
+        self.rx.add(rx_bytes);
+        self.tx.add(tx_bytes);
     }
 }
 
@@ -189,10 +166,16 @@ impl ClusterObs {
             tags_in_flight: registry.gauge("cluster.wire.p2.tags_in_flight"),
             writer_queue: registry.gauge("cluster.wire.p2.writer_queue"),
             sub_seq: AtomicU64::new(0),
-            wire: WireObs::new(&registry, "cluster.wire", false),
-            relay_wire: WireObs::new(&registry, "cluster.relay", true),
+            wire: [1, 2].map(|p| WireObs::new(&registry, "cluster.wire", p)),
+            relay_wire: WireObs::new(&registry, "cluster.relay", 2),
             registry,
         }
+    }
+
+    /// Counts client-facing bytes on the wire for one protocol generation
+    /// (everything at or above proto 2 shares the binary-framing bucket).
+    pub(crate) fn count_wire(&self, proto: u32, rx_bytes: u64, tx_bytes: u64) {
+        self.wire[usize::from(proto >= 2)].count(rx_bytes, tx_bytes);
     }
 
     /// Registers one subscription stream: its sequence number and its
@@ -247,14 +230,18 @@ mod tests {
             "cluster.wire.p1.tx_bytes",
             "cluster.wire.p2.rx_bytes",
             "cluster.wire.p2.tx_bytes",
-            "cluster.relay.p1.rx_bytes",
-            "cluster.relay.p1.tx_bytes",
             "cluster.relay.p2.rx_bytes",
             "cluster.relay.p2.tx_bytes",
-            "cluster.relay.p1.payload_bytes",
-            "cluster.relay.p2.payload_bytes",
         ] {
             assert!(snap.counters.contains_key(name), "missing {name}");
+        }
+        // The relay speaks proto 2 only: no proto 1 or payload twins.
+        for name in [
+            "cluster.relay.p1.rx_bytes",
+            "cluster.relay.p1.tx_bytes",
+            "cluster.relay.p2.payload_bytes",
+        ] {
+            assert!(!snap.counters.contains_key(name), "stale {name}");
         }
         for name in [
             "cluster.relay_us",

@@ -1,6 +1,8 @@
-//! The front-tier router: a thread-per-connection TCP server speaking
-//! the `snn-serve` line protocol to clients and forwarding raw request
-//! lines to the backend shard that owns each session.
+//! The front-tier router: a thread-per-connection TCP server running
+//! `snn-serve`'s connection loop ([`snn_serve::serve_connection`]) — the
+//! proto 1 line protocol, upgradable to proto 2 frames — towards clients,
+//! and forwarding raw request lines over a proto 2 relay to the backend
+//! shard that owns each session.
 //!
 //! ## Routing rules
 //!
@@ -32,19 +34,19 @@
 //! what lets a migration atomically re-point a session mid-stream.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use snn_obs::{valid_rid, JournalSnapshot, Snapshot, TraceTree};
 use snn_serve::protocol::{
-    self, extract_rid, format_response, hex_decode, hex_encode, parse_response, Response,
-    MAX_LINE_BYTES, PROTO_VERSION,
+    self, extract_rid, format_response, hello_reply, hex_decode, hex_encode, parse_response,
+    Response, PROTO_VERSION,
 };
-use snn_serve::{run_mux, MuxHost, ServerConfig, PROTO_V2};
+use snn_serve::{serve_connection, MuxHost, ServerConfig};
 
 use crate::backend::Backend;
 use crate::heal::{failover_locked, shadow_locked};
@@ -82,14 +84,6 @@ pub struct ClusterLimits {
     /// shard, so one stalled shard costs a scrape at most this long —
     /// never the much larger data-plane `io_timeout`.
     pub scrape_timeout: Duration,
-    /// Highest protocol generation the router accepts from clients
-    /// ([`PROTO_V2`] by default; pin to [`PROTO_VERSION`] to refuse the
-    /// binary-framing upgrade at the front door).
-    pub max_proto: u32,
-    /// Highest protocol generation the router offers shards. Each shard
-    /// negotiates independently at attach time and falls back to
-    /// proto 1 on `proto-mismatch`, so a mixed cluster keeps serving.
-    pub backend_max_proto: u32,
 }
 
 impl Default for ClusterLimits {
@@ -102,8 +96,6 @@ impl Default for ClusterLimits {
             shadow_interval: None,
             io_timeout: Some(Duration::from_secs(30)),
             scrape_timeout: Duration::from_secs(2),
-            max_proto: PROTO_V2,
-            backend_max_proto: PROTO_V2,
         }
     }
 }
@@ -297,6 +289,13 @@ impl Cluster {
         self.addr
     }
 
+    /// This router's telemetry instance name: the prefix of every rid it
+    /// mints (`<instance>-<seq>`), distinct from every other router's and
+    /// every shard's in the process.
+    pub fn instance(&self) -> &str {
+        self.state.obs.registry.instance()
+    }
+
     /// Spawns a fresh in-process `snn-serve` shard and joins it to the
     /// ring, live-migrating every session the new ring assigns to it.
     /// A config without an `evict_dir` gets one under the system temp
@@ -310,8 +309,9 @@ impl Cluster {
     }
 
     /// Attaches an already-running `snn-serve` shard and joins it to the
-    /// ring (rebalancing as for [`Cluster::spawn_shard`]). The shard must
-    /// speak [`PROTO_VERSION`]; a mismatched backend is refused.
+    /// ring (rebalancing as for [`Cluster::spawn_shard`]). The relay
+    /// speaks proto 2 only: a shard that refuses `hello proto=2` is
+    /// refused here with [`ClusterError::ProtoMismatch`] and never joins.
     ///
     /// # Errors
     ///
@@ -323,7 +323,6 @@ impl Cluster {
             id,
             addr,
             self.state.limits.io_timeout,
-            self.state.limits.backend_max_proto,
             self.state.obs.relay_wire.clone(),
         )?);
         join_backend(&self.state, backend)?;
@@ -566,7 +565,6 @@ fn spawn_shard_on(state: &State, mut config: ServerConfig) -> Result<ShardId, Cl
         id,
         config,
         state.limits.io_timeout,
-        state.limits.backend_max_proto,
         state.obs.relay_wire.clone(),
     )?);
     join_backend(state, backend)?;
@@ -652,15 +650,16 @@ fn drain_shard_on(state: &State, shard: ShardId) -> Result<usize, ClusterError> 
 // Accept + health threads.
 
 fn accept_loop(listener: TcpListener, state: Arc<State>, stop: Arc<AtomicBool>) {
+    let host = Arc::new(ClusterHost { state });
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if stream.set_nonblocking(false).is_err() {
                     continue;
                 }
-                let state = Arc::clone(&state);
+                let host = Arc::clone(&host);
                 std::thread::spawn(move || {
-                    let _ = handle_connection(stream, &state);
+                    let _ = serve_connection(stream, host);
                 });
             }
             // Same reasoning as snn-serve's accept loop: every accept
@@ -1022,84 +1021,6 @@ fn failover_sessions_of(state: &State, dead: ShardId, cause: &str) {
 // ---------------------------------------------------------------------------
 // Connection handling.
 
-fn handle_connection(stream: TcpStream, state: &Arc<State>) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    loop {
-        let mut line = String::new();
-        let n = (&mut reader).take(MAX_LINE_BYTES).read_line(&mut line)?;
-        if n == 0 {
-            return Ok(());
-        }
-        state.obs.wire.count(PROTO_VERSION, n as u64, 0);
-        if !line.ends_with('\n') {
-            // Same truncation rule as the shard server: never dispatch a
-            // cut-short line.
-            if n as u64 == MAX_LINE_BYTES {
-                let reply = err_line("bad-request", "line exceeds the protocol size limit");
-                write_reply(&mut writer, state, &reply)?;
-            }
-            return Ok(());
-        }
-        if let Ok((verb, fields)) = protocol::tokenize(&line) {
-            // `hello proto=2` upgrades the connection to multiplexed
-            // binary framing and never returns to line mode, so it is
-            // dispatched here, exactly as on the shard tier. The hello
-            // exchange itself is always line-based.
-            // Hello is connection negotiation, not request traffic:
-            // whatever the proto, it bypasses `accept_line` so it never
-            // mints a rid — a negotiated connection and a bare one must
-            // leave the rid sequence (and thus the byte-exact relay
-            // lines later rids ride on) identical.
-            if verb == "hello" {
-                let banner = route_line(&line, state);
-                write_reply(&mut writer, state, &banner)?;
-                if let Some(Ok(proto)) = find(&fields, "proto").map(str::parse::<u32>) {
-                    if proto >= PROTO_V2 && proto <= state.limits.max_proto {
-                        let host = Arc::new(ClusterHost {
-                            state: Arc::clone(state),
-                        });
-                        return run_mux(reader, writer, host);
-                    }
-                }
-                continue;
-            }
-            // `subscribe` upgrades the connection to a one-way push
-            // stream and never returns to request/reply, so it is also
-            // dispatched here — it needs the writer, not just a reply
-            // line.
-            if verb == "subscribe" {
-                let interval_ms = match find(&fields, "interval_ms") {
-                    None => 200,
-                    Some(raw) => match raw.parse::<u64>() {
-                        Ok(ms) => ms,
-                        Err(_) => {
-                            let reply =
-                                err_line("bad-request", "interval_ms must be a non-negative int");
-                            write_reply(&mut writer, state, &reply)?;
-                            continue;
-                        }
-                    },
-                };
-                return serve_cluster_subscription(&mut writer, state, interval_ms);
-            }
-        }
-        let (reply, rid) = accept_line(&line, state);
-        let w0 = Instant::now();
-        write_reply(&mut writer, state, &reply)?;
-        let wdur = w0.elapsed();
-        state.obs.registry.span(
-            "cluster.phase.write",
-            &rid,
-            wdur,
-            &[
-                ("phase", "write".to_string()),
-                ("parent", "accept".to_string()),
-            ],
-        );
-    }
-}
-
 /// Routes one client line under its request id, timing the router's
 /// whole ownership of the request as the trace tree's `accept` root
 /// span. The rid is the client's (when the line already ends in
@@ -1128,35 +1049,42 @@ fn accept_line(line: &str, state: &State) -> (String, String) {
     (reply, rid)
 }
 
-/// Writes one reply line (appending the newline) and counts its bytes
-/// against the client-facing proto 1 wire counters.
-fn write_reply(writer: &mut TcpStream, state: &State, reply: &str) -> io::Result<()> {
-    writer.write_all(reply.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-    state
-        .obs
-        .wire
-        .count(PROTO_VERSION, 0, reply.len() as u64 + 1);
-    Ok(())
-}
-
-/// The router's half of a multiplexed proto 2 connection: requests are
-/// answered by the same [`route_line`] the line loop uses, and
-/// subscription pushes sample the same merged cluster-wide exposition.
+/// The router as a [`MuxHost`]: every client line, under either
+/// protocol generation, is answered by [`accept_line`], and subscription
+/// pushes sample the merged cluster-wide exposition.
 #[derive(Debug)]
 struct ClusterHost {
     state: Arc<State>,
 }
 
 impl MuxHost for ClusterHost {
-    fn handle_line(&self, line: &str) -> String {
-        // Same rid accounting as the line loop: the accept root span
-        // covers the router's whole ownership of the frame. The reply
-        // write itself happens on the shared writer thread, so proto 2
-        // traces have no router-side write node — the writer-queue
-        // gauge is what shows that backlog instead.
-        accept_line(line, &self.state).0
+    fn handle_line(&self, line: &str) -> (String, String) {
+        // Hello is connection negotiation, not request traffic: it never
+        // mints a rid, so a negotiated connection and a bare one leave
+        // the rid sequence (and the byte-exact relay lines later rids
+        // ride on) identical.
+        if line.split(' ').next() == Some("hello") {
+            return (route_line(line, &self.state), String::new());
+        }
+        accept_line(line, &self.state)
+    }
+
+    fn on_write(&self, proto: u32, rid: &str, dur: Duration) {
+        // Only the proto 1 socket write of a traced request is a
+        // router-side trace node: a proto 2 reply is written by the
+        // connection's shared writer thread, whose backlog the
+        // writer-queue gauge shows instead.
+        if proto == PROTO_VERSION && !rid.is_empty() {
+            self.state.obs.registry.span(
+                "cluster.phase.write",
+                rid,
+                dur,
+                &[
+                    ("phase", "write".to_string()),
+                    ("parent", "accept".to_string()),
+                ],
+            );
+        }
     }
 
     fn push_line(&self, seq: u64, journal_cursor: &mut u64) -> Option<String> {
@@ -1175,8 +1103,8 @@ impl MuxHost for ClusterHost {
         self.state.obs.registry.journal_snapshot().total
     }
 
-    fn on_wire(&self, rx_bytes: u64, tx_bytes: u64) {
-        self.state.obs.wire.count(PROTO_V2, rx_bytes, tx_bytes);
+    fn on_wire(&self, proto: u32, rx_bytes: u64, tx_bytes: u64) {
+        self.state.obs.count_wire(proto, rx_bytes, tx_bytes);
     }
 
     fn on_queue_wait(&self, line: &str, waited: Duration) {
@@ -1232,25 +1160,7 @@ fn route_line(line: &str, state: &State) -> String {
         Err(e) => return err_line("bad-request", &e.to_string()),
     };
     match verb.as_str() {
-        "hello" => match find(&fields, "proto").map(str::parse::<u32>) {
-            Some(Ok(proto)) if proto >= PROTO_VERSION && proto <= state.limits.max_proto => {
-                format_response(&Response::ok([
-                    ("proto", proto.to_string()),
-                    ("server", "snn-cluster".to_string()),
-                    ("journal", "1".to_string()),
-                    ("subscribe", "1".to_string()),
-                    ("trace", "1".to_string()),
-                ]))
-            }
-            Some(Ok(proto)) => err_line(
-                "proto-mismatch",
-                &format!(
-                    "cluster speaks proto {PROTO_VERSION}..{}, client sent {proto}",
-                    state.limits.max_proto
-                ),
-            ),
-            _ => err_line("bad-request", "hello needs a numeric proto field"),
-        },
+        "hello" => hello_line(&fields),
         "ping" => {
             let draining = state.inner.lock().expect("cluster state poisoned").shutdown;
             if draining {
@@ -1277,6 +1187,25 @@ fn route_line(line: &str, state: &State) -> String {
         "open" | "restore" | "close" | "evict" | "ingest" | "report" | "energy" | "checkpoint"
         | "swap" => relay(line, &verb, &fields, state),
         other => err_line("bad-request", &format!("unknown verb {other:?}")),
+    }
+}
+
+/// The router's one `hello` decision: its versioned banner for a
+/// generation this build speaks, `proto-mismatch` otherwise
+/// ([`hello_reply`]). The connection loop upgrades to proto 2 on the
+/// `ok`; on an upgraded connection a hello only re-reads the banner.
+fn hello_line(fields: &[(String, String)]) -> String {
+    match find(fields, "proto").map(str::parse::<u32>) {
+        Some(Ok(proto)) => format_response(&hello_reply(
+            proto,
+            [
+                ("server", "snn-cluster".to_string()),
+                ("journal", "1".to_string()),
+                ("subscribe", "1".to_string()),
+                ("trace", "1".to_string()),
+            ],
+        )),
+        _ => err_line("bad-request", "hello needs a numeric proto field"),
     }
 }
 
@@ -1711,73 +1640,9 @@ fn least_loaded_shard(state: &State) -> Option<ShardId> {
     counts.into_iter().min_by_key(|&(_, n)| n).map(|(id, _)| id)
 }
 
-/// How many frames a router subscription buffers before a slow consumer
-/// starts losing them (mirrors the shard server's policy: drop, count,
-/// never block the sampler or the data plane).
-const SUBSCRIBE_BUFFER: usize = 8;
-
-/// `subscribe` against the router: periodic `push` frames carrying the
-/// merged cluster-wide exposition plus the router's own journal delta.
-/// Framing, buffering, and slow-consumer policy are identical to the
-/// shard server's, so [`snn_serve::ServeClient::subscribe`] works
-/// against either tier.
-fn serve_cluster_subscription(
-    writer: &mut TcpStream,
-    state: &State,
-    interval_ms: u64,
-) -> io::Result<()> {
-    let interval = Duration::from_millis(interval_ms.clamp(10, 10_000));
-    let banner = format_response(&Response::ok([(
-        "interval_ms",
-        interval.as_millis().to_string(),
-    )]));
-    write_reply(writer, state, &banner)?;
-    let (tx, rx) = mpsc::sync_channel::<String>(SUBSCRIBE_BUFFER);
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let (_sub, sub_drops) = state.obs.subscriber();
-            let mut seq = 0u64;
-            let mut prev_total = state.obs.registry.journal_snapshot().total;
-            loop {
-                if state.inner.lock().expect("cluster state poisoned").shutdown {
-                    return; // dropping tx ends the writer loop cleanly
-                }
-                std::thread::sleep(interval);
-                let Some(line) = render_cluster_push(state, seq, &mut prev_total) else {
-                    return;
-                };
-                seq += 1;
-                match tx.try_send(line + "\n") {
-                    Ok(()) => {}
-                    Err(mpsc::TrySendError::Full(_)) => {
-                        state.obs.subscribe_drops.inc();
-                        sub_drops.inc();
-                    }
-                    Err(mpsc::TrySendError::Disconnected(_)) => return,
-                }
-            }
-        });
-        // The writer loop runs on the connection thread; a write error
-        // (subscriber gone) drops `rx`, which the sampler sees on its
-        // next try_send and exits — the scope then joins it.
-        for frame in rx {
-            if writer
-                .write_all(frame.as_bytes())
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
-                break;
-            }
-            state.obs.wire.count(PROTO_VERSION, 0, frame.len() as u64);
-        }
-    });
-    Ok(())
-}
-
 /// Renders one cluster telemetry push line (no trailing newline): the
 /// merged cluster-wide exposition plus the router's own journal delta
-/// since `prev_total`. `None` once the router is draining. Shared by the
-/// proto 1 dedicated-connection stream and the proto 2 mux sampler.
+/// since `prev_total`. `None` once the router is draining.
 fn render_cluster_push(state: &State, seq: u64, prev_total: &mut u64) -> Option<String> {
     if state.inner.lock().expect("cluster state poisoned").shutdown {
         return None;

@@ -436,15 +436,6 @@ pub fn line_to_frame(line: &str, tag: u32, flags: u8) -> Frame {
     }
 }
 
-/// Byte length of the first top-level `data=` value **as it appears in
-/// the line text** (i.e. hex characters). This is what a proto 1
-/// transport moves for the line's payload; a proto 2 frame moves half
-/// that (the decoded raw bytes). Relay tiers feed this into their
-/// per-protocol `payload_bytes` counters.
-pub fn line_payload_len(line: &str) -> u64 {
-    find_data_value(line).map_or(0, |(start, end)| (end - start) as u64)
-}
-
 /// Re-exported for hardening tests: decodes a full frame from a byte
 /// slice (must consume it exactly).
 ///

@@ -64,6 +64,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod client;
+pub mod conn;
 pub mod frame;
 pub mod mux;
 pub(crate) mod obs;
@@ -75,8 +76,9 @@ pub mod session;
 pub use client::{
     ClientError, ClientResult, IngestOutcome, Push, ServeClient, Subscription, WireReport,
 };
+pub use conn::serve_connection;
 pub use frame::{Frame, FrameError};
-pub use mux::{run_mux, MuxClient, MuxHost};
+pub use mux::{MuxClient, MuxHost};
 pub use protocol::{ProtocolError, Request, Response, SessionSpec, PROTO_V2, PROTO_VERSION};
 pub use server::{ServerConfig, SnnServer};
 pub use session::{ServeError, ServeLimits, ServerStats, SessionManager};

@@ -8,10 +8,12 @@
 //! **one** connection per shard and interleaves session traffic,
 //! checkpoint blobs, shadow pushes, and migrations over it.
 //!
-//! The server half ([`run_mux`]) is tier-agnostic: anything that can
+//! The server half (`run_mux`) is tier-agnostic: anything that can
 //! answer one protocol line implements [`MuxHost`], so the session
 //! server and the cluster router share this loop (and its flow-control
-//! policy) verbatim.
+//! policy) verbatim. It is entered only from
+//! [`crate::conn::serve_connection`], once a line-based `hello proto=2`
+//! has been accepted.
 //!
 //! Flow control / slow-reader policy: at most [`MAX_INFLIGHT`] requests
 //! are being served per connection — the reader stops pulling frames
@@ -28,8 +30,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use crate::conn::{sample_pushes, subscribe_ack, subscribe_interval};
 use crate::frame::{line_to_frame, Frame, FrameError, FLAG_PUSH, HEADER_BYTES};
-use crate::protocol::{format_response, tokenize, Response};
+use crate::protocol::{format_response, Response, PROTO_V2};
 
 /// Cap on concurrently served requests per multiplexed connection.
 pub const MAX_INFLIGHT: usize = 64;
@@ -39,14 +42,19 @@ fn wire_len(frame: &Frame) -> u64 {
     (HEADER_BYTES + frame.head.len() + frame.payload.len() + 4) as u64
 }
 
-/// A request-serving endpoint a multiplexed connection can be run
-/// against. Implemented by the session server and the cluster router,
-/// which differ only in how a line is answered and what a subscription
-/// frame samples.
+/// A request-serving endpoint a connection can be run against, under
+/// either protocol generation: [`crate::conn::serve_connection`] answers
+/// proto 1 lines and runs the proto 2 demultiplexer after the upgrade.
+/// Implemented by the session server and the cluster router, which
+/// differ only in how a line is answered, what a subscription push
+/// samples, and what they record.
 pub trait MuxHost: Send + Sync + 'static {
-    /// Serves one request line to completion and returns the response
-    /// line (no trailing newline). Must never panic on hostile input.
-    fn handle_line(&self, line: &str) -> String;
+    /// Serves one request line (no trailing newline) to completion and
+    /// returns the reply line (no trailing newline) plus the rid the
+    /// request was traced under. Answers `hello` too: the connection
+    /// loop upgrades to proto 2 only on an `ok` to `hello proto=2`. Must
+    /// never panic on hostile input.
+    fn handle_line(&self, line: &str) -> (String, String);
 
     /// Renders the next subscription push line (a `push seq=… data=…
     /// journal=…` line), advancing `journal_cursor` past the events the
@@ -60,10 +68,20 @@ pub trait MuxHost: Send + Sync + 'static {
     /// journal total, so the first frame carries only fresh events).
     fn journal_total(&self) -> u64;
 
-    /// Byte accounting hook: one request/response pair (or one push
-    /// frame with `rx == 0`) crossed the wire.
-    fn on_wire(&self, rx_bytes: u64, tx_bytes: u64) {
-        let _ = (rx_bytes, tx_bytes);
+    /// Byte accounting hook: bytes that crossed the wire under protocol
+    /// generation `proto` — one proto 1 line either way, one proto 2
+    /// request/response pair, or one push (`rx_bytes == 0`).
+    fn on_wire(&self, proto: u32, rx_bytes: u64, tx_bytes: u64) {
+        let _ = (proto, rx_bytes, tx_bytes);
+    }
+
+    /// Write-phase hook: putting the reply to the request traced under
+    /// `rid` on the wire took `dur`. Under proto 1 that is the socket
+    /// write; under proto 2 it is building the response frame, whose
+    /// socket write happens later on the connection's shared writer
+    /// thread.
+    fn on_write(&self, proto: u32, rid: &str, dur: Duration) {
+        let _ = (proto, rid, dur);
     }
 
     /// Demux queue-wait hook: `line`'s frame waited `waited` for a slot
@@ -87,7 +105,7 @@ pub trait MuxHost: Send + Sync + 'static {
         0
     }
 
-    /// A push frame was dropped for slow subscriber `sub` (the label
+    /// A push was dropped for slow subscriber `sub` (the label
     /// [`MuxHost::next_subscriber`] returned for its stream).
     fn on_push_drop(&self, sub: u64) {
         let _ = sub;
@@ -140,7 +158,7 @@ impl Outbound {
 ///
 /// Returns the socket error that ended the connection; a clean client
 /// disconnect is `Ok(())`.
-pub fn run_mux<R: io::Read, H: MuxHost>(
+pub(crate) fn run_mux<R: io::Read, H: MuxHost>(
     mut reader: R,
     stream: TcpStream,
     host: Arc<H>,
@@ -202,8 +220,7 @@ pub fn run_mux<R: io::Read, H: MuxHost>(
             continue;
         }
         let rx_bytes = wire_len(&frame);
-        let verb = frame.head.split(' ').next().unwrap_or("").to_string();
-        if verb == "subscribe" {
+        if frame.head.split(' ').next() == Some("subscribe") {
             spawn_push_sampler(&frame, Arc::clone(&host), out_tx.clone());
             continue;
         }
@@ -237,15 +254,23 @@ pub fn run_mux<R: io::Read, H: MuxHost>(
         let inflight = Arc::clone(&inflight);
         std::thread::spawn(move || {
             let tag = frame.tag;
-            let response_line = match frame.to_line() {
+            let (reply, rid) = match frame.to_line() {
                 Ok(line) => {
                     host.on_queue_wait(&line, waited);
-                    host.handle_line(&line)
+                    let (reply, rid) = host.handle_line(&line);
+                    (reply, Some(rid))
                 }
-                Err(e) => format_response(&Response::error("bad-frame", e.to_string())),
+                Err(e) => (
+                    format_response(&Response::error("bad-frame", e.to_string())),
+                    None,
+                ),
             };
-            let response = line_to_frame(&response_line, tag, 0);
-            host.on_wire(rx_bytes, wire_len(&response));
+            let w0 = std::time::Instant::now();
+            let response = line_to_frame(&reply, tag, 0);
+            if let Some(rid) = rid {
+                host.on_write(PROTO_V2, &rid, w0.elapsed());
+            }
+            host.on_wire(PROTO_V2, rx_bytes, wire_len(&response));
             let _ = out_tx.send(response);
             let (set, cv) = &*inflight;
             let remaining = {
@@ -266,48 +291,32 @@ pub fn run_mux<R: io::Read, H: MuxHost>(
 
 /// Starts one subscription stream: an `ok interval_ms=…` ack on the
 /// subscription's tag, then periodic [`FLAG_PUSH`] frames until host
-/// shutdown or connection death. The sampler never blocks on the
-/// subscriber: full outbound queues drop the frame and count it.
+/// shutdown or connection death ([`sample_pushes`]). The sampler never
+/// blocks on the subscriber: full outbound queues drop the frame and
+/// count it.
 fn spawn_push_sampler<H: MuxHost>(frame: &Frame, host: Arc<H>, out_tx: Outbound) {
-    let interval_ms: u64 = tokenize(&frame.head)
-        .ok()
-        .and_then(|(_, fields)| {
-            fields
-                .iter()
-                .find(|(k, _)| k == "interval_ms")
-                .and_then(|(_, v)| v.parse().ok())
-        })
-        .unwrap_or(200);
-    let interval = Duration::from_millis(interval_ms.clamp(10, 10_000));
     let tag = frame.tag;
-    let ack = Response::ok([("interval_ms", interval.as_millis().to_string())]);
+    let interval = match subscribe_interval(&frame.head) {
+        Ok(interval) => interval,
+        Err(reply) => {
+            let _ = out_tx.try_send(line_to_frame(&format_response(&reply), tag, 0));
+            return;
+        }
+    };
     if out_tx
-        .send(line_to_frame(&format_response(&ack), tag, 0))
+        .send(line_to_frame(&subscribe_ack(interval), tag, 0))
         .is_err()
     {
         return;
     }
     std::thread::spawn(move || {
-        let sub = host.next_subscriber();
-        let mut cursor = host.journal_total();
-        let mut seq = 0u64;
-        loop {
-            if host.is_shutdown() {
-                return;
-            }
-            std::thread::sleep(interval);
-            let Some(line) = host.push_line(seq, &mut cursor) else {
-                return;
-            };
-            seq += 1;
+        sample_pushes(&*host, interval, |line| {
             let push = line_to_frame(&line, tag, FLAG_PUSH);
             let tx_bytes = wire_len(&push);
-            match out_tx.try_send(push) {
-                Ok(()) => host.on_wire(0, tx_bytes),
-                Err(mpsc::TrySendError::Full(_)) => host.on_push_drop(sub),
-                Err(mpsc::TrySendError::Disconnected(_)) => return,
-            }
-        }
+            out_tx
+                .try_send(push)
+                .map(|()| host.on_wire(PROTO_V2, 0, tx_bytes))
+        });
     });
 }
 

@@ -31,8 +31,28 @@ pub const PROTO_VERSION: u32 = 1;
 /// through the same `hello proto=…` gate: a `hello proto=2` accepted by
 /// the server upgrades the connection from line framing to length-
 /// prefixed binary frames over one multiplexed socket ([`crate::frame`],
-/// [`crate::mux`]). Proto 1 stays the default and fully supported.
+/// [`crate::mux`]). Proto 1 stays the client-edge default; the
+/// router↔shard relay speaks proto 2 only.
 pub const PROTO_V2: u32 = 2;
+
+/// Answers `hello proto=<proto>` on any tier: the `ok proto=<proto>`
+/// banner followed by the tier's capability `fields` when `proto` is one
+/// this build speaks ([`PROTO_VERSION`] ..= [`PROTO_V2`] — a fixed
+/// range, since every tier of one build speaks both), and
+/// `err code=proto-mismatch` otherwise, so an incompatible peer fails
+/// fast instead of misparsing lines.
+pub fn hello_reply(
+    proto: u32,
+    fields: impl IntoIterator<Item = (&'static str, String)>,
+) -> Response {
+    if !(PROTO_VERSION..=PROTO_V2).contains(&proto) {
+        return Response::error(
+            "proto-mismatch",
+            format!("this build speaks proto {PROTO_VERSION}..{PROTO_V2}, client sent {proto}"),
+        );
+    }
+    Response::ok(std::iter::once(("proto", proto.to_string())).chain(fields))
+}
 
 /// Hard cap on one protocol line in bytes (a paper-scale snapshot is a
 /// few MiB hex-encoded; this bounds hostile allocations, not real use).

@@ -1,17 +1,19 @@
-//! The TCP front end: thread-per-connection line server.
+//! The TCP front end: thread-per-connection server.
 //!
 //! [`SnnServer::start`] binds a listener and spawns two long-lived
 //! threads — the accept loop and the tick scheduler
 //! ([`crate::scheduler`]). Each accepted connection gets its own thread
-//! that reads requests line by line, dispatches them against the shared
-//! [`SessionManager`], and writes one response line per request, in
-//! order. Connection threads hold no session state: a client may spread
-//! one session's requests over several connections or multiplex several
-//! sessions on one connection, and ordering is still per-session FIFO
-//! (the registry queues are the only ordering authority).
+//! running the shared connection loop ([`crate::conn::serve_connection`])
+//! against this server's [`MuxHost`]: proto 1 lines answered one reply
+//! line per request, in order, until a `hello proto=2` upgrades the
+//! socket to multiplexed frames. Connection threads hold no session
+//! state: a client may spread one session's requests over several
+//! connections or multiplex several sessions on one connection, and
+//! ordering is still per-session FIFO (the registry queues are the only
+//! ordering authority).
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -19,10 +21,11 @@ use std::time::Duration;
 
 use neuro_energy::GpuSpec;
 
-use crate::mux::{run_mux, MuxHost};
+use crate::conn::serve_connection;
+use crate::mux::MuxHost;
 use crate::protocol::{
-    encode_predictions, extract_rid, format_response, hex_encode, parse_request, Request, Response,
-    MAX_LINE_BYTES, PROTO_V2, PROTO_VERSION,
+    encode_predictions, extract_rid, format_response, hello_reply, hex_encode, parse_request,
+    Request, Response, PROTO_VERSION,
 };
 use crate::scheduler;
 use crate::session::{Job, JobOutput, JobResult, ServeError, ServeLimits, SessionManager};
@@ -38,14 +41,6 @@ pub struct ServerConfig {
     /// per victim). `None` disables both the `evict` request and the
     /// idle-timeout sweep. The directory must already exist.
     pub evict_dir: Option<std::path::PathBuf>,
-    /// Lowest protocol generation this server accepts at `hello`
-    /// (default [`PROTO_VERSION`]). Pin to [`PROTO_V2`] to refuse
-    /// line-protocol clients.
-    pub min_proto: u32,
-    /// Highest protocol generation this server accepts at `hello`
-    /// (default [`PROTO_V2`]). Pin to [`PROTO_VERSION`] for a
-    /// proto-1-only server.
-    pub max_proto: u32,
 }
 
 impl Default for ServerConfig {
@@ -54,8 +49,6 @@ impl Default for ServerConfig {
             limits: ServeLimits::default(),
             gpu: GpuSpec::gtx_1080_ti(),
             evict_dir: None,
-            min_proto: PROTO_VERSION,
-            max_proto: PROTO_V2,
         }
     }
 }
@@ -94,10 +87,11 @@ impl SnnServer {
             std::thread::spawn(move || scheduler::run(manager))
         };
         let accept_thread = {
-            let manager = Arc::clone(&manager);
+            let host = Arc::new(ServeHost {
+                manager: Arc::clone(&manager),
+            });
             let stop = Arc::clone(&stop);
-            let protos = config.min_proto..=config.max_proto;
-            std::thread::spawn(move || accept_loop(listener, manager, stop, protos))
+            std::thread::spawn(move || accept_loop(listener, host, stop))
         };
         Ok(SnnServer {
             addr,
@@ -111,6 +105,13 @@ impl SnnServer {
     /// The bound address (with the resolved port).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// This server's telemetry instance name: the prefix of every rid it
+    /// mints (`<instance>-<seq>`), distinct from every other server's in
+    /// the process.
+    pub fn instance(&self) -> &str {
+        self.manager.obs().registry.instance()
     }
 
     /// Current server-wide counters.
@@ -143,12 +144,7 @@ impl Drop for SnnServer {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    manager: Arc<SessionManager>,
-    stop: Arc<AtomicBool>,
-    protos: std::ops::RangeInclusive<u32>,
-) {
+fn accept_loop(listener: TcpListener, host: Arc<ServeHost>, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -157,13 +153,12 @@ fn accept_loop(
                 if stream.set_nonblocking(false).is_err() {
                     continue;
                 }
-                let manager = Arc::clone(&manager);
-                let protos = protos.clone();
+                let host = Arc::clone(&host);
                 // Connection threads are detached: they exit on client
                 // disconnect, and post-shutdown requests get error
                 // responses because the registry rejects them.
                 std::thread::spawn(move || {
-                    let _ = handle_connection(stream, &manager, &protos);
+                    let _ = serve_connection(stream, host);
                 });
             }
             // Accept errors are all transient from this loop's point of
@@ -176,128 +171,6 @@ fn accept_loop(
                 std::thread::sleep(Duration::from_millis(2));
             }
         }
-    }
-}
-
-/// Serves one connection until EOF or an unrecoverable socket error.
-/// Starts in the proto 1 line protocol; an accepted `hello proto=2`
-/// upgrades the connection to multiplexed binary framing
-/// ([`crate::mux::run_mux`]) and never returns to lines.
-fn handle_connection(
-    stream: TcpStream,
-    manager: &Arc<SessionManager>,
-    protos: &std::ops::RangeInclusive<u32>,
-) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    loop {
-        let mut line = String::new();
-        let n = (&mut reader).take(MAX_LINE_BYTES).read_line(&mut line)?;
-        if n == 0 {
-            return Ok(()); // client closed the connection
-        }
-        let obs = manager.obs();
-        obs.count_wire(PROTO_VERSION, n as u64, 0);
-        if !line.ends_with('\n') {
-            // The line is incomplete: either it hit the size cap, or the
-            // client died mid-send and this is the truncated tail before
-            // EOF. Never dispatch a truncated line — a cut-short
-            // `close id=session-10` parses as `close id=session-1`.
-            if n as u64 == MAX_LINE_BYTES {
-                write_response(
-                    &mut writer,
-                    &Response::error("bad-request", "line exceeds the protocol size limit"),
-                )?;
-            }
-            return Ok(());
-        }
-        obs.requests.inc();
-        // The rid either rode in as the line's final field (a relaying
-        // tier stamped it) or is minted here — the wire layer is where a
-        // request first enters this server's trace. A carried rid also
-        // marks this request as relayed: its request span then links
-        // under the relaying tier's `relay` phase.
-        let carried_rid = extract_rid(&line).map(str::to_string);
-        let carried = carried_rid.is_some();
-        let rid = carried_rid.unwrap_or_else(|| obs.registry.mint_rid());
-        let t0 = std::time::Instant::now();
-        let response = match parse_request(&line) {
-            // Subscribe switches the connection into streaming mode: the
-            // acknowledgement and every later frame are written inside,
-            // and the connection never returns to request/response.
-            Ok(Request::Subscribe { interval_ms }) => {
-                let dur = t0.elapsed();
-                obs.verb_hist("subscribe").record_duration(dur);
-                obs.registry.span("serve.subscribe", &rid, dur, &[]);
-                return serve_subscription(&mut writer, manager, interval_ms);
-            }
-            // Hello owns version negotiation: in-range proto 1 keeps the
-            // line protocol, in-range proto 2 acknowledges and upgrades
-            // this connection to binary framing, everything else fails
-            // fast with `proto-mismatch`.
-            Ok(Request::Hello { proto }) => {
-                if !protos.contains(&proto) {
-                    Response::error(
-                        "proto-mismatch",
-                        format!(
-                            "server speaks proto {}..{}, client sent {proto}",
-                            protos.start(),
-                            protos.end()
-                        ),
-                    )
-                } else if proto >= PROTO_V2 {
-                    let banner = hello_banner(manager, PROTO_V2);
-                    let dur = t0.elapsed();
-                    obs.verb_hist("hello").record_duration(dur);
-                    obs.proto_verb_hist(PROTO_V2, "hello").record_duration(dur);
-                    obs.registry.span("serve.hello", &rid, dur, &[]);
-                    let tx = write_response(&mut writer, &banner)?;
-                    obs.count_wire(PROTO_V2, 0, tx as u64);
-                    let host = Arc::new(ServeHost {
-                        manager: Arc::clone(manager),
-                    });
-                    return run_mux(reader, writer, host);
-                } else {
-                    hello_banner(manager, proto)
-                }
-            }
-            Ok(request) => dispatch(request, manager, &rid),
-            Err(e) => Response::error("bad-request", e.to_string()),
-        };
-        let dur = t0.elapsed();
-        let verb = line.split_whitespace().next().unwrap_or("");
-        obs.record_request(verb, dur, &rid);
-        obs.proto_verb_hist(PROTO_VERSION, verb)
-            .record_duration(dur);
-        // Unknown verbs collapse to one span name, mirroring the metric
-        // fallback, so hostile input cannot pollute the trace ring with
-        // garbage names.
-        let canonical = if crate::obs::VERBS.contains(&verb) {
-            verb
-        } else {
-            "other"
-        };
-        obs.registry.span(
-            &format!("serve.{canonical}"),
-            &rid,
-            dur,
-            &request_phase_fields(carried),
-        );
-        let response = stamp_rid(response, &rid, carried);
-        let w0 = std::time::Instant::now();
-        let tx = write_response(&mut writer, &response)?;
-        let wdur = w0.elapsed();
-        obs.write_us.record_duration(wdur);
-        obs.registry.span(
-            "serve.phase.write",
-            &rid,
-            wdur,
-            &[
-                ("phase", "write".to_string()),
-                ("parent", "request".to_string()),
-            ],
-        );
-        obs.count_wire(PROTO_VERSION, 0, tx as u64);
     }
 }
 
@@ -332,71 +205,61 @@ fn stamp_rid(response: Response, rid: &str, carried: bool) -> Response {
     }
 }
 
-/// The `ok` banner a successful `hello` negotiation answers with,
-/// stamped with the agreed protocol generation.
+/// This server's one `hello` decision: the versioned banner with its
+/// capability flags for a generation this build speaks, `proto-mismatch`
+/// otherwise ([`hello_reply`]).
 fn hello_banner(manager: &SessionManager, proto: u32) -> Response {
-    Response::ok([
-        ("proto", proto.to_string()),
-        ("server", "snn-serve".to_string()),
-        ("evict", u8::from(manager.eviction_enabled()).to_string()),
-        // Capability flag: this build stores shadow checkpoints (the
-        // `shadow` verb). Routing tiers key failover protection off it.
-        ("shadow", "1".to_string()),
-        // This build keeps a flight-recorder journal and accepts
-        // streaming subscriptions.
-        ("journal", "1".to_string()),
-        ("subscribe", "1".to_string()),
-        // This build answers `trace rid=` with its per-request span and
-        // journal material for cluster-wide trace assembly.
-        ("trace", "1".to_string()),
-    ])
-}
-
-fn write_response(writer: &mut TcpStream, response: &Response) -> io::Result<usize> {
-    let mut wire = format_response(response);
-    wire.push('\n');
-    writer.write_all(wire.as_bytes())?;
-    writer.flush()?;
-    Ok(wire.len())
+    hello_reply(
+        proto,
+        [
+            ("server", "snn-serve".to_string()),
+            ("evict", u8::from(manager.eviction_enabled()).to_string()),
+            // Capability flag: this build stores shadow checkpoints (the
+            // `shadow` verb). Routing tiers key failover protection off it.
+            ("shadow", "1".to_string()),
+            // This build keeps a flight-recorder journal and accepts
+            // streaming subscriptions.
+            ("journal", "1".to_string()),
+            ("subscribe", "1".to_string()),
+            // This build answers `trace rid=` with its per-request span and
+            // journal material for cluster-wide trace assembly.
+            ("trace", "1".to_string()),
+        ],
+    )
 }
 
 /// The session server as a [`MuxHost`]: answers one line per request
-/// frame and samples subscription push frames, recording proto 2 wire
-/// and latency metrics.
+/// and samples subscription pushes, recording wire, latency and trace
+/// metrics under either protocol generation.
 #[derive(Debug)]
 struct ServeHost {
     manager: Arc<SessionManager>,
 }
 
 impl MuxHost for ServeHost {
-    fn handle_line(&self, line: &str) -> String {
+    fn handle_line(&self, line: &str) -> (String, String) {
         let manager = &*self.manager;
         let obs = manager.obs();
         obs.requests.inc();
+        // The rid either rode in as the line's final field (a relaying
+        // tier stamped it) or is minted here — the wire layer is where a
+        // request first enters this server's trace. A carried rid also
+        // marks this request as relayed: its request span then links
+        // under the relaying tier's `relay` phase.
         let carried_rid = extract_rid(line).map(str::to_string);
         let carried = carried_rid.is_some();
         let rid = carried_rid.unwrap_or_else(|| obs.registry.mint_rid());
         let t0 = std::time::Instant::now();
         let response = match parse_request(line) {
-            // The connection is already negotiated: an in-stream hello
-            // (a client re-probing capabilities) re-answers the banner.
-            Ok(Request::Hello { proto }) if proto == PROTO_V2 => hello_banner(manager, PROTO_V2),
-            Ok(Request::Hello { proto }) => Response::error(
-                "proto-mismatch",
-                format!("connection is negotiated to proto {PROTO_V2}, client sent {proto}"),
-            ),
-            // Subscriptions are intercepted by the demux loop before this
-            // is called; kept so a crafted frame cannot reach dispatch.
-            Ok(Request::Subscribe { .. }) => {
-                Response::error("bad-request", "subscribe is a stream")
-            }
             Ok(request) => dispatch(request, manager, &rid),
             Err(e) => Response::error("bad-request", e.to_string()),
         };
         let dur = t0.elapsed();
         let verb = line.split_whitespace().next().unwrap_or("");
         obs.record_request(verb, dur, &rid);
-        obs.proto_verb_hist(PROTO_V2, verb).record_duration(dur);
+        // Unknown verbs collapse to one span name, mirroring the metric
+        // fallback, so hostile input cannot pollute the trace ring with
+        // garbage names.
         let canonical = if crate::obs::VERBS.contains(&verb) {
             verb
         } else {
@@ -408,24 +271,22 @@ impl MuxHost for ServeHost {
             dur,
             &request_phase_fields(carried),
         );
-        let response = stamp_rid(response, &rid, carried);
-        // Proto 2's socket write happens on the shared writer thread, so
-        // the write phase times what this request path owns: rendering
-        // the reply line the frame is built from.
-        let w0 = std::time::Instant::now();
-        let out = format_response(&response);
-        let wdur = w0.elapsed();
-        obs.write_us.record_duration(wdur);
+        let reply = format_response(&stamp_rid(response, &rid, carried));
+        (reply, rid)
+    }
+
+    fn on_write(&self, _proto: u32, rid: &str, dur: Duration) {
+        let obs = self.manager.obs();
+        obs.write_us.record_duration(dur);
         obs.registry.span(
             "serve.phase.write",
-            &rid,
-            wdur,
+            rid,
+            dur,
             &[
                 ("phase", "write".to_string()),
                 ("parent", "request".to_string()),
             ],
         );
-        out
     }
 
     fn push_line(&self, seq: u64, journal_cursor: &mut u64) -> Option<String> {
@@ -443,8 +304,8 @@ impl MuxHost for ServeHost {
         self.manager.obs().registry.journal_snapshot().total
     }
 
-    fn on_wire(&self, rx_bytes: u64, tx_bytes: u64) {
-        self.manager.obs().count_wire(PROTO_V2, rx_bytes, tx_bytes);
+    fn on_wire(&self, proto: u32, rx_bytes: u64, tx_bytes: u64) {
+        self.manager.obs().count_wire(proto, rx_bytes, tx_bytes);
     }
 
     fn on_queue_wait(&self, line: &str, waited: Duration) {
@@ -480,9 +341,8 @@ impl MuxHost for ServeHost {
     }
 }
 
-/// Renders one subscription frame line (shared by the proto 1 stream
-/// writer and the proto 2 push sampler): the full metrics exposition
-/// plus the journal events born since `journal_cursor`, which advances.
+/// Renders one subscription push line: the full metrics exposition plus
+/// the journal events born since `journal_cursor`, which advances.
 fn render_push_line(manager: &SessionManager, seq: u64, journal_cursor: &mut u64) -> String {
     let metrics = manager.metrics_text();
     let obs = manager.obs();
@@ -502,100 +362,20 @@ fn render_push_line(manager: &SessionManager, seq: u64, journal_cursor: &mut u64
     )
 }
 
-/// How many sampled frames a subscription buffers between its sampler
-/// and its socket writer. A consumer that falls further behind loses
-/// frames (counted in `serve.subscribe.drops`) instead of backing the
-/// sampler up.
-const SUBSCRIBE_BUFFER: usize = 8;
-
-/// Streams periodic telemetry frames until the client disconnects or the
-/// server shuts down. The sampler thread renders each frame and
-/// `try_send`s it into a bounded channel — it never blocks on the
-/// subscriber's socket, so a stalled consumer cannot stall anything but
-/// its own feed. Each frame is one line:
-/// `push seq=<n> data=<hex exposition> journal=<hex journal delta>`,
-/// where the journal part carries only events recorded since the
-/// previous frame (its `meta` counters stay cumulative, so a subscriber
-/// can detect its own losses from `seq` gaps and the totals).
-fn serve_subscription(
-    writer: &mut TcpStream,
-    manager: &SessionManager,
-    interval_ms: u64,
-) -> io::Result<()> {
-    let interval = Duration::from_millis(interval_ms.clamp(10, 10_000));
-    write_response(
-        writer,
-        &Response::ok([("interval_ms", interval.as_millis().to_string())]),
-    )?;
-    let (tx, rx) = mpsc::sync_channel::<String>(SUBSCRIBE_BUFFER);
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let obs = manager.obs();
-            // Drops are billed both globally and to this subscriber's
-            // own counter, so one slow consumer is identifiable.
-            let (_sub, sub_drops) = obs.subscriber();
-            let mut seq = 0u64;
-            let mut cursor = obs.registry.journal_snapshot().total;
-            loop {
-                if manager.is_shutdown() {
-                    return; // dropping tx ends the writer loop cleanly
-                }
-                std::thread::sleep(interval);
-                let mut frame = render_push_line(manager, seq, &mut cursor);
-                frame.push('\n');
-                seq += 1;
-                match tx.try_send(frame) {
-                    Ok(()) => {}
-                    Err(mpsc::TrySendError::Full(_)) => {
-                        obs.subscribe_drops.inc();
-                        sub_drops.inc();
-                    }
-                    Err(mpsc::TrySendError::Disconnected(_)) => return,
-                }
-            }
-        });
-        // The writer loop runs on the connection thread; a write error
-        // (client gone) drops `rx`, which the sampler sees on its next
-        // try_send and exits — the scope then joins it.
-        let obs = manager.obs();
-        for frame in rx {
-            if writer
-                .write_all(frame.as_bytes())
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
-                break;
-            }
-            obs.count_wire(PROTO_VERSION, 0, frame.len() as u64);
-        }
-    });
-    Ok(())
-}
-
 /// Executes one request to completion (for session jobs: submit, then
 /// block this connection thread on the reply channel).
 fn dispatch(request: Request, manager: &SessionManager, rid: &str) -> Response {
     match request {
-        // Negotiation is owned by the connection loops (line and mux),
-        // which intercept hello before dispatch; this arm is the
-        // defensive fallback answering for the classic line protocol.
-        Request::Hello { proto } => {
-            if proto == PROTO_VERSION {
-                hello_banner(manager, PROTO_VERSION)
-            } else {
-                Response::error(
-                    "proto-mismatch",
-                    format!("server speaks proto {PROTO_VERSION}, client sent {proto}"),
-                )
-            }
-        }
+        // The connection loop upgrades to proto 2 on this `ok`; on an
+        // upgraded connection a hello only re-reads the banner.
+        Request::Hello { proto } => hello_banner(manager, proto),
         // A draining server answers ping with its shutdown state so
         // health checkers stop routing to it instead of seeing a live
         // socket and assuming a live shard.
         Request::Ping if manager.is_shutdown() => error_response(&ServeError::Shutdown),
         Request::Ping => Response::ok([
             ("pong", "1".to_string()),
-            ("proto", crate::protocol::PROTO_VERSION.to_string()),
+            ("proto", PROTO_VERSION.to_string()),
         ]),
         Request::Stats => {
             let s = manager.stats();
@@ -621,8 +401,8 @@ fn dispatch(request: Request, manager: &SessionManager, rid: &str) -> Response {
             ("instance", manager.obs().registry.instance().to_string()),
             ("data", hex_encode(manager.journal_text().as_bytes())),
         ]),
-        // Handled before dispatch (it hijacks the connection); kept in the
-        // match so a new verb cannot be forgotten here.
+        // The connection loops stream subscriptions before dispatch; kept
+        // so a new verb cannot be forgotten here.
         Request::Subscribe { .. } => Response::error("bad-request", "subscribe is a stream"),
         Request::Open { id, spec } => match manager.open(&id, &spec) {
             Ok(()) => {

@@ -62,8 +62,7 @@ pub enum Profile {
 /// must not silently overwrite them with proto-1 figures. CI pins each
 /// leg explicitly (proto 1 first, proto 2 last) so both framings stay
 /// load tested and the artifact left behind is always the proto-2 one.
-/// The router↔shard relay negotiates its own protocol independently
-/// (proto 2 by default).
+/// The router↔shard relay speaks proto 2 whatever the clients speak.
 fn client_proto() -> u32 {
     match std::env::var("SNN_CLUSTER_PROTO").ok().as_deref() {
         Some("1") => PROTO_VERSION,
@@ -661,105 +660,6 @@ fn scrape_journal_text(client: &mut ServeClient) -> String {
     String::from_utf8(bytes).unwrap_or_else(|e| panic!("cluster-journal payload is not UTF-8: {e}"))
 }
 
-/// Relay-path byte totals of one [`wire_run`]: what the `data=`
-/// payloads occupied on the router↔shard wire, and the whole
-/// lines/frames around them.
-struct WireRun {
-    payload_bytes: u64,
-    wire_bytes: u64,
-}
-
-/// Drives one checkpoint-heavy workload with the router↔shard relay
-/// pinned to the given protocol generation and reads the
-/// `cluster.relay.p{N}.*` counters back. The cluster is quieted (no
-/// probes, no shadow sweeps) so the byte counts are exactly the
-/// workload's — the p1 and p2 runs move bit-identical payloads, and the
-/// only difference on the relay wire is the framing.
-fn wire_run(scale: &HarnessScale, profile: Profile, backend_proto: u32) -> WireRun {
-    let cluster = Cluster::start(
-        "127.0.0.1:0",
-        ClusterConfig {
-            limits: ClusterLimits {
-                backend_max_proto: backend_proto,
-                health_interval: Duration::from_secs(60),
-                shadow_interval: None,
-                ..ClusterLimits::default()
-            },
-        },
-    )
-    .expect("bind an ephemeral port");
-    for _ in 0..2 {
-        cluster
-            .spawn_shard(ServerConfig::default())
-            .expect("spawn shard");
-    }
-    let mut client = ServeClient::connect_with_proto(cluster.local_addr(), client_proto())
-        .expect("connect to router");
-    let spec = spec(scale, profile, 0);
-    let id = "wire";
-    client.open(id, spec.clone()).expect("open session");
-
-    let gen = SyntheticDigits::new(spec.seed);
-    let classes: Vec<u8> = (0..10).collect();
-    let stream: Vec<_> = Scenario::all()[0]
-        .stream(&gen, &classes, 16, spec.seed, 0)
-        .into_iter()
-        .map(|img| img.downsample(2))
-        .collect();
-    for chunk in stream.chunks(spec.batch_size) {
-        client.ingest(id, chunk).expect("ingest");
-    }
-    // The checkpoint-heavy half: snapshot fetches plus live migrations
-    // (each a checkpoint→restore round trip over the relay), the blob
-    // traffic the binary framing exists for.
-    for _ in 0..4 {
-        let snapshot = client.checkpoint(id).expect("checkpoint");
-        assert!(!snapshot.is_empty(), "checkpoint must carry a payload");
-        let here = cluster.session_shard(id).expect("session is routed");
-        let there = cluster
-            .shard_ids()
-            .into_iter()
-            .find(|&s| s != here)
-            .expect("two shards");
-        cluster.migrate_session(id, there).expect("live migration");
-    }
-    client.close(id).expect("close session");
-
-    let mut scraper = ServeClient::connect_with_proto(cluster.local_addr(), client_proto())
-        .expect("connect for scrape");
-    let telemetry = scrape_expo(&mut scraper, "cluster-metrics");
-    cluster.shutdown();
-    let p = if backend_proto >= PROTO_V2 { 2 } else { 1 };
-    WireRun {
-        payload_bytes: telemetry.counter(&format!("cluster.relay.p{p}.payload_bytes")),
-        wire_bytes: telemetry.counter(&format!("cluster.relay.p{p}.rx_bytes"))
-            + telemetry.counter(&format!("cluster.relay.p{p}.tx_bytes")),
-    }
-}
-
-/// Runs the identical workload once per relay protocol and pins the
-/// framing rollout's headline claim: proto 2 moves the same payloads in
-/// at least 2× fewer payload bytes (hex text vs raw binary).
-fn compare_wire(scale: &HarnessScale, profile: Profile) -> (WireRun, WireRun) {
-    let p1 = wire_run(scale, profile, PROTO_VERSION);
-    let p2 = wire_run(scale, profile, PROTO_V2);
-    assert!(
-        p1.payload_bytes > 0 && p2.payload_bytes > 0,
-        "both relay runs must move payload bytes (p1 {}, p2 {})",
-        p1.payload_bytes,
-        p2.payload_bytes
-    );
-    let ratio = p1.payload_bytes as f64 / p2.payload_bytes as f64;
-    assert!(
-        ratio >= 2.0,
-        "proto 2 must move ≥2x fewer payload bytes than proto 1 \
-         (p1 {} B, p2 {} B, ratio {ratio:.3})",
-        p1.payload_bytes,
-        p2.payload_bytes
-    );
-    (p1, p2)
-}
-
 /// Runs the experiment at the given profile and returns the rendered
 /// report.
 pub fn run_profile(scale: &HarnessScale, profile: Profile) -> String {
@@ -843,19 +743,6 @@ pub fn run_profile(scale: &HarnessScale, profile: Profile) -> String {
         chaos.trace_nodes,
     ));
 
-    let (wire_p1, wire_p2) = compare_wire(scale, profile);
-    out.push_str(&format!(
-        "wire — relay payload bytes on an identical checkpoint-heavy \
-         workload, proto 1 vs proto 2: {} B vs {} B ({:.2}x); whole \
-         lines/frames: {} B vs {} B ({:.2}x)\n",
-        wire_p1.payload_bytes,
-        wire_p2.payload_bytes,
-        wire_p1.payload_bytes as f64 / wire_p2.payload_bytes.max(1) as f64,
-        wire_p1.wire_bytes,
-        wire_p2.wire_bytes,
-        wire_p1.wire_bytes as f64 / wire_p2.wire_bytes.max(1) as f64,
-    ));
-
     let client_p = if client_proto() >= PROTO_V2 { 2 } else { 1 };
     let run_objects = runs.iter().map(|run| {
         let migrate_us = run.telemetry.histogram("cluster.migrate_us");
@@ -918,29 +805,12 @@ pub fn run_profile(scale: &HarnessScale, profile: Profile) -> String {
             .int("trace_nodes", chaos.trace_nodes);
         j.render()
     };
-    let wire_json = {
-        let mut j = Json::new();
-        j.int("p1_payload_bytes", wire_p1.payload_bytes)
-            .int("p2_payload_bytes", wire_p2.payload_bytes)
-            .num(
-                "payload_ratio",
-                wire_p1.payload_bytes as f64 / wire_p2.payload_bytes.max(1) as f64,
-            )
-            .int("p1_wire_bytes", wire_p1.wire_bytes)
-            .int("p2_wire_bytes", wire_p2.wire_bytes)
-            .num(
-                "wire_ratio",
-                wire_p1.wire_bytes as f64 / wire_p2.wire_bytes.max(1) as f64,
-            );
-        j.render()
-    };
     let mut bench = Json::new();
     bench
         .str("experiment", "cluster")
         .int("proto", u64::from(client_proto()))
         .raw("runs", json_array(run_objects))
-        .raw("chaos", chaos_json)
-        .raw("wire", wire_json);
+        .raw("chaos", chaos_json);
     // Where did the wall time go, cluster-wide: the merged telemetry of
     // the largest scaling run carries every shard's phase histograms.
     if let Some(last) = runs.last() {
@@ -1001,10 +871,6 @@ mod tests {
         assert!(
             out.contains("incident cluster-trace:"),
             "chaos drill must assemble the incident trace:\n{out}"
-        );
-        assert!(
-            out.contains("wire — relay payload bytes"),
-            "the dual-proto wire comparison must be reported:\n{out}"
         );
     }
 }

@@ -213,7 +213,12 @@ fn a_reply_rid_cluster_traces_to_the_client_observed_latency() {
         .get("rid")
         .expect("routed replies carry their rid")
         .to_string();
-    assert!(rid.starts_with("c0-"), "router-minted rid: {rid}");
+    // Minted by *this* router: its instance prefixes every rid it mints
+    // (other tests in this binary run routers concurrently).
+    assert!(
+        rid.starts_with(&format!("{}-", cluster.instance())),
+        "router-minted rid: {rid}"
+    );
 
     // …and ask the router to explain it: the merged tree roots at the
     // router's accept span, whose duration is the request as the
@@ -320,7 +325,7 @@ fn cluster_metrics_scrape_reports_migration_with_its_request_id() {
     assert_eq!(span.field("to"), Some(there.to_string().as_str()));
     let rid = span.rid.clone();
     assert!(
-        rid.starts_with('c'),
+        rid.starts_with(&format!("{}-", cluster.instance())),
         "migrations are router-minted control-plane work: {rid}"
     );
 

@@ -9,14 +9,15 @@
 //! * **Identical replies modulo framing** — the proto 2 frame→line
 //!   reconstruction reproduces proto 1's reply lines exactly.
 //! * **Identical metrics deltas** — filtered to exclude the counters
-//!   that *define* the difference (wire bytes, per-proto latency) and
+//!   that *define* the difference (client-facing wire bytes) and
 //!   wall-clock noise.
 //! * **Torture mode** — every request frame delivered one byte at a
 //!   time, so the server's reassembly sees every possible split point.
 //!
 //! Cluster-level conformance additionally drives a mid-stream live
-//! migration under both protocols and a shard-kill failover under
-//! proto 2 (the relay path itself multiplexes frames by default).
+//! migration under both client protocols and a shard-kill failover
+//! under proto 2. The router↔shard relay speaks proto 2 whatever the
+//! client speaks, and its checkpoint blobs cross it as raw bytes.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -301,7 +302,22 @@ fn run_cluster_workload(
             }
         }
         predictions.push(preds);
-        checkpoints.push(client.checkpoint(id).expect("checkpoint"));
+        // The blob crosses the relay raw: a checkpoint reply carrying N
+        // payload bytes moves at least N relay bytes and fewer than 2N
+        // (hex on the relay would read at least 2N). Scrapes ride their
+        // own connections, so nothing else moves in between.
+        let relay_rx = |client: &mut ServeClient| {
+            scrape(client, "cluster-metrics").counter("cluster.relay.p2.rx_bytes")
+        };
+        let before = relay_rx(&mut client);
+        let checkpoint = client.checkpoint(id).expect("checkpoint");
+        let moved = relay_rx(&mut client) - before;
+        let n = checkpoint.len() as u64;
+        assert!(
+            moved >= n && moved < 2 * n,
+            "a {n}-byte checkpoint moved {moved} relay bytes"
+        );
+        checkpoints.push(checkpoint);
     }
 
     let merged = scrape(&mut client, "cluster-metrics");

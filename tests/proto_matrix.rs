@@ -1,93 +1,21 @@
-//! Cross-version compatibility matrix (`DESIGN.md` §13 negotiation
-//! rules).
+//! Protocol negotiation at the edges of what one build speaks
+//! (`DESIGN.md` §13).
 //!
-//! Every client×server protocol pairing is pinned: in-range requests
-//! negotiate and serve, out-of-range requests **fail fast at `hello`**
-//! with a `proto-mismatch` the client can read — never a hang, a
-//! garbled stream, or a silent downgrade. A mixed cluster (one shard
-//! pinned to proto 1, one speaking proto 2) keeps serving, migrating,
-//! and failing over: the relay negotiates per shard.
+//! Every tier accepts exactly protos 1 and 2 at `hello`. Anything else
+//! **fails fast at `hello`** with a `proto-mismatch` the peer can read —
+//! never a hang, a garbled stream, or a silent downgrade. The router's
+//! relay speaks proto 2 only, so a shard that refuses `hello proto=2`
+//! (a mixed-version cluster) is refused at attach and never joins the
+//! ring; a peer that hangs up mid-hello fails the attach the same way.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use snn_cluster::{Cluster, ClusterConfig, ClusterLimits};
-use snn_data::Image;
-use snn_serve::{ServeClient, ServerConfig, SessionSpec, SnnServer, PROTO_V2, PROTO_VERSION};
-use spikedyn::Method;
-
-fn tiny_spec(seed: u64) -> SessionSpec {
-    SessionSpec {
-        method: Method::SpikeDyn,
-        n_exc: 8,
-        n_input: 49,
-        n_classes: 10,
-        seed,
-        batch_size: 4,
-        assign_every: 8,
-        reservoir_capacity: 12,
-        metric_window: 12,
-        drift_window: 8,
-    }
-}
-
-fn stream(seed: u64, total: u64) -> Vec<Image> {
-    let gen = snn_data::SyntheticDigits::new(seed);
-    (0..total)
-        .map(|i| {
-            gen.sample((i % 10) as u8, seed.wrapping_mul(1000) + i)
-                .downsample(4)
-        })
-        .collect()
-}
-
-fn proto1_only() -> ServerConfig {
-    ServerConfig {
-        max_proto: PROTO_VERSION,
-        ..ServerConfig::default()
-    }
-}
-
-/// Scrapes one router counter by name.
-fn router_counter(client: &mut ServeClient, name: &str) -> u64 {
-    let reply = client.call_raw("cluster-metrics").expect("scrape");
-    let resp = snn_serve::protocol::parse_response(&reply).expect("parses");
-    let hex = resp.get("data").expect("data");
-    let bytes = snn_serve::protocol::hex_decode(hex).expect("hex");
-    let text = String::from_utf8(bytes).expect("utf-8");
-    snn_obs::Snapshot::parse(&text)
-        .expect("exposition")
-        .counter(name)
-}
-
-#[test]
-fn proto2_client_fails_fast_against_a_proto1_only_server() {
-    let server = SnnServer::start("127.0.0.1:0", proto1_only()).expect("server");
-    let err = ServeClient::connect_with_proto(server.local_addr(), PROTO_V2)
-        .expect_err("negotiation must be refused");
-    assert_eq!(err.server_code(), Some("proto-mismatch"), "got {err}");
-    // Proto 1 on the same server still works.
-    let mut client =
-        ServeClient::connect_with_proto(server.local_addr(), PROTO_VERSION).expect("proto 1");
-    client.ping().expect("ping");
-}
-
-#[test]
-fn proto1_client_fails_fast_against_a_proto2_only_server() {
-    let server = SnnServer::start(
-        "127.0.0.1:0",
-        ServerConfig {
-            min_proto: PROTO_V2,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server");
-    let err = ServeClient::connect_with_proto(server.local_addr(), PROTO_VERSION)
-        .expect_err("negotiation must be refused");
-    assert_eq!(err.server_code(), Some("proto-mismatch"), "got {err}");
-    let mut client =
-        ServeClient::connect_with_proto(server.local_addr(), PROTO_V2).expect("proto 2");
-    client.ping().expect("ping");
-}
+use snn_cluster::{Cluster, ClusterConfig, ClusterError};
+use snn_serve::protocol::format_response;
+use snn_serve::{Response, ServeClient, ServerConfig, SnnServer};
 
 #[test]
 fn unknown_future_protos_are_refused_by_default_servers() {
@@ -97,144 +25,60 @@ fn unknown_future_protos_are_refused_by_default_servers() {
     assert_eq!(err.server_code(), Some("proto-mismatch"), "got {err}");
 }
 
-#[test]
-fn proto1_pinned_router_refuses_proto2_clients_but_serves_proto1() {
-    let cluster = Cluster::start(
-        "127.0.0.1:0",
-        ClusterConfig {
-            limits: ClusterLimits {
-                max_proto: PROTO_VERSION,
-                ..ClusterLimits::default()
-            },
-        },
-    )
-    .expect("cluster");
-    cluster.spawn_shard(ServerConfig::default()).expect("shard");
-
-    let err = ServeClient::connect_with_proto(cluster.local_addr(), PROTO_V2)
-        .expect_err("pinned router must refuse proto 2");
-    assert_eq!(err.server_code(), Some("proto-mismatch"), "got {err}");
-
-    let mut client = ServeClient::connect(cluster.local_addr()).expect("proto 1 client");
-    client.open("m", tiny_spec(1)).expect("open");
-    client.ingest("m", &stream(1, 4)).expect("ingest");
-    client.close("m").expect("close");
-    cluster.shutdown();
-}
-
-#[test]
-fn mixed_cluster_serves_and_migrates_across_a_proto1_pinned_shard() {
-    let cluster = Cluster::start("127.0.0.1:0", ClusterConfig::default()).expect("cluster");
-    let modern = cluster.spawn_shard(ServerConfig::default()).expect("shard");
-    let legacy = cluster.spawn_shard(proto1_only()).expect("pinned shard");
-
-    let mut client =
-        ServeClient::connect_with_proto(cluster.local_addr(), PROTO_V2).expect("connect");
-    let full = stream(5, 16);
-    client.open("mix", tiny_spec(5)).expect("open");
-    let mut preds = Vec::new();
-    for chunk in full[..8].chunks(4) {
-        preds.extend(client.ingest("mix", chunk).expect("ingest").predictions);
-    }
-    // Force the session through both shards: the migration checkpoint
-    // crosses a proto 2 relay one way and a proto 1 relay the other.
-    cluster.migrate_session("mix", legacy).expect("to legacy");
-    for chunk in full[8..12].chunks(4) {
-        preds.extend(client.ingest("mix", chunk).expect("ingest").predictions);
-    }
-    cluster.migrate_session("mix", modern).expect("to modern");
-    for chunk in full[12..].chunks(4) {
-        preds.extend(client.ingest("mix", chunk).expect("ingest").predictions);
-    }
-
-    // Bit-exact against a single-process learner despite the mixed
-    // relay framings.
-    let mut reference = snn_online::OnlineLearner::new(tiny_spec(5).online_config());
-    let mut ref_preds = Vec::new();
-    for chunk in full.chunks(4) {
-        ref_preds.extend(reference.ingest_batch(chunk).expect("reference"));
-    }
-    assert_eq!(preds, ref_preds, "mixed-relay predictions");
-    assert_eq!(
-        client.checkpoint("mix").expect("checkpoint"),
-        reference.checkpoint().to_bytes(),
-        "mixed-relay checkpoint must be byte-identical"
-    );
-
-    // Both relay generations actually carried traffic.
-    assert!(
-        router_counter(&mut client, "cluster.relay.p1.tx_bytes") > 0,
-        "the pinned shard was reached over proto 1"
-    );
-    assert!(
-        router_counter(&mut client, "cluster.relay.p2.tx_bytes") > 0,
-        "the modern shard was reached over proto 2"
-    );
-    client.close("mix").expect("close");
-    cluster.shutdown();
-}
-
-#[test]
-fn sessions_fail_over_from_a_killed_proto1_pinned_shard() {
-    let cluster = Cluster::start(
-        "127.0.0.1:0",
-        ClusterConfig {
-            limits: ClusterLimits {
-                health_interval: Duration::from_millis(40),
-                probes_to_kill: 2,
-                shadow_interval: Some(Duration::from_millis(25)),
-                ..ClusterLimits::default()
-            },
-        },
-    )
-    .expect("cluster");
-    cluster.spawn_shard(ServerConfig::default()).expect("shard");
-    // The victim is pinned to proto 1 *and* killable: its shadows ride
-    // a proto 1 relay, the failover restore rides proto 2.
-    let external = SnnServer::start("127.0.0.1:0", proto1_only()).expect("victim");
-    let victim = cluster.attach_shard(external.local_addr()).expect("attach");
-
-    let mut client =
-        ServeClient::connect_with_proto(cluster.local_addr(), PROTO_V2).expect("connect");
-    client.open("f", tiny_spec(9)).expect("open");
-    if cluster.session_shard("f") != Some(victim) {
-        cluster.migrate_session("f", victim).expect("seed victim");
-    }
-    let full = stream(9, 16);
-    client.ingest("f", &full[..8]).expect("first half");
-
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while cluster.session_shadow("f").map(|(_, seq)| seq) != Some(8) {
-        assert!(Instant::now() < deadline, "shadower never parked seq 8");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    external.shutdown();
-
-    let retry_deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match client.ingest("f", &full[8..]) {
-            Ok(_) => break,
-            Err(e) if Instant::now() < retry_deadline => {
-                let _ = e;
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => panic!("session never recovered: {e}"),
+/// A one-connection fake shard: reads the router's `hello` line, then
+/// answers it with `reply` — or, given `None`, hangs up without a word.
+fn fake_shard(reply: Option<Response>) -> (SocketAddr, JoinHandle<String>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let addr = listener.local_addr().expect("fake shard addr");
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("the router connects");
+        let mut hello = String::new();
+        BufReader::new(stream.try_clone().expect("clone"))
+            .read_line(&mut hello)
+            .expect("read hello");
+        if let Some(reply) = reply {
+            let line = format!("{}\n", format_response(&reply));
+            stream.write_all(line.as_bytes()).expect("answer hello");
         }
-    }
-    let now = cluster.session_shard("f");
+        hello
+    });
+    (addr, peer)
+}
+
+#[test]
+fn a_shard_refusing_proto2_is_refused_at_attach() {
+    let cluster = Cluster::start("127.0.0.1:0", ClusterConfig::default()).expect("cluster");
+
+    let (addr, peer) = fake_shard(Some(Response::error(
+        "proto-mismatch",
+        "this shard speaks proto 1..1, client sent 2",
+    )));
+    let err = cluster
+        .attach_shard(addr)
+        .expect_err("a proto-1-only shard must be refused");
     assert!(
-        now.is_some() && now != Some(victim),
-        "the session must fail over off the dead pinned shard"
+        matches!(err, ClusterError::ProtoMismatch { .. }),
+        "got {err}"
+    );
+    assert_eq!(peer.join().expect("fake shard"), "hello proto=2\n");
+    assert!(
+        cluster.shard_ids().is_empty(),
+        "a refused shard never joins the ring"
     );
 
-    let mut reference = snn_online::OnlineLearner::new(tiny_spec(9).online_config());
-    reference.ingest_batch(&full[..8]).expect("reference");
-    reference.ingest_batch(&full[8..]).expect("reference");
-    assert_eq!(
-        client.checkpoint("f").expect("checkpoint"),
-        reference.checkpoint().to_bytes(),
-        "failover across protocol generations is bit-exact"
+    // A peer that hangs up mid-hello fails the attach promptly — well
+    // inside the data-plane io timeout, so the router never hangs on it.
+    let (addr, peer) = fake_shard(None);
+    let t0 = Instant::now();
+    cluster
+        .attach_shard(addr)
+        .expect_err("a peer that hangs up mid-hello must be refused");
+    assert!(
+        t0.elapsed() < Duration::from_secs(10),
+        "attach took {:?}",
+        t0.elapsed()
     );
-    client.close("f").expect("close");
+    peer.join().expect("fake shard");
+    assert!(cluster.shard_ids().is_empty());
     cluster.shutdown();
 }
