@@ -243,6 +243,49 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// Subscribing mints no metric names: 50 subscribe/disconnect cycles
+    /// leave the counter names of a scrape unchanged on a shard and on a
+    /// router, while a stalled subscriber's forced drops still land in
+    /// the aggregate `*.subscribe.drops` counter.
+    #[test]
+    fn subscription_churn_leaves_the_counter_names_unchanged() {
+        let server = SnnServer::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let cluster = two_shard_cluster();
+        for (addr, drops) in [
+            (server.local_addr(), "serve.subscribe.drops"),
+            (cluster.local_addr(), "cluster.subscribe.drops"),
+        ] {
+            let mut scraper = ServeClient::connect(addr).unwrap();
+            let names = |c: &mut ServeClient| -> Vec<String> {
+                c.metrics().unwrap().counters.into_keys().collect()
+            };
+            let before = names(&mut scraper);
+            for _ in 0..50 {
+                let mut sub = ServeClient::connect(addr).unwrap().subscribe(10).unwrap();
+                sub.next().unwrap();
+            }
+            // A proto 1 subscriber that never reads: once the socket and
+            // the line buffer fill, every further push is dropped.
+            let stalled = ServeClient::connect(addr).unwrap().subscribe(10).unwrap();
+            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            while scraper.metrics().unwrap().counter(drops) == 0 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "no drop counted on {addr}"
+                );
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            drop(stalled);
+            assert_eq!(
+                names(&mut scraper),
+                before,
+                "subscriptions minted counters on {addr}"
+            );
+        }
+        cluster.shutdown();
+        server.shutdown();
+    }
+
     #[test]
     fn router_speaks_the_handshake_and_aggregate_stats() {
         let cluster = two_shard_cluster();

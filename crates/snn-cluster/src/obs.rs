@@ -51,8 +51,9 @@ pub(crate) struct ClusterObs {
     pub(crate) migrate_us: Arc<Histogram>,
     /// `cluster.migrate_bytes` — decoded snapshot payload per migration.
     pub(crate) migrate_bytes: Arc<Histogram>,
-    /// `cluster.scrape_us` — per-shard wall time of `stats`/`metrics`
-    /// fan-out scrapes (each bounded by the scrape deadline).
+    /// `cluster.scrape_us` — per-shard wall time of the fan-out scrapes
+    /// (`stats`, `metrics`, `journal`, `trace`; each bounded by the
+    /// scrape deadline).
     pub(crate) scrape_us: Arc<Histogram>,
     /// `cluster.scrape_fail` — fan-out scrapes of a live shard that
     /// timed out or answered garbage. Each failure also ticks a dynamic
@@ -95,11 +96,6 @@ pub(crate) struct ClusterObs {
     /// `cluster.wire.p2.writer_queue` — reply/push frames queued behind
     /// the router's shared proto 2 writer thread.
     pub(crate) writer_queue: Arc<Gauge>,
-    /// Subscriber sequence: each router subscription stream gets a
-    /// distinct per-subscriber drop counter
-    /// (`cluster.subscribe.drops.sub<N>`), so one slow consumer is
-    /// attributable instead of anonymous in the aggregate.
-    sub_seq: AtomicU64,
     /// `cluster.wire.p{1,2}.rx_bytes` / `.tx_bytes` — client-facing
     /// bytes on the wire per protocol generation (proto 1 counts line
     /// bytes, proto 2 counts whole frames).
@@ -165,7 +161,6 @@ impl ClusterObs {
             failover_bytes: registry.histogram("cluster.failover_bytes"),
             tags_in_flight: registry.gauge("cluster.wire.p2.tags_in_flight"),
             writer_queue: registry.gauge("cluster.wire.p2.writer_queue"),
-            sub_seq: AtomicU64::new(0),
             wire: [1, 2].map(|p| WireObs::new(&registry, "cluster.wire", p)),
             relay_wire: WireObs::new(&registry, "cluster.relay", 2),
             registry,
@@ -176,21 +171,6 @@ impl ClusterObs {
     /// (everything at or above proto 2 shares the binary-framing bucket).
     pub(crate) fn count_wire(&self, proto: u32, rx_bytes: u64, tx_bytes: u64) {
         self.wire[usize::from(proto >= 2)].count(rx_bytes, tx_bytes);
-    }
-
-    /// Registers one subscription stream: its sequence number and its
-    /// dedicated drop counter (`cluster.subscribe.drops.sub<N>`). The
-    /// aggregate `cluster.subscribe.drops` keeps counting every drop;
-    /// the per-subscriber counter pins which stream lost frames.
-    pub(crate) fn subscriber(&self) -> (u64, Arc<Counter>) {
-        let seq = self.sub_seq.fetch_add(1, Ordering::Relaxed);
-        (seq, self.sub_drop_counter(seq))
-    }
-
-    /// The drop counter of subscription stream `seq`.
-    pub(crate) fn sub_drop_counter(&self, seq: u64) -> Arc<Counter> {
-        self.registry
-            .counter(&format!("cluster.subscribe.drops.sub{seq}"))
     }
 }
 
@@ -261,19 +241,5 @@ mod tests {
         ] {
             assert!(snap.gauges.contains_key(name), "missing {name}");
         }
-    }
-
-    #[test]
-    fn subscribers_get_distinct_drop_counters() {
-        let obs = ClusterObs::new();
-        let (a, drops_a) = obs.subscriber();
-        let (b, drops_b) = obs.subscriber();
-        assert_ne!(a, b);
-        drops_a.inc();
-        drops_a.inc();
-        drops_b.inc();
-        let snap = obs.registry.snapshot();
-        assert_eq!(snap.counters[&format!("cluster.subscribe.drops.sub{a}")], 2);
-        assert_eq!(snap.counters[&format!("cluster.subscribe.drops.sub{b}")], 1);
     }
 }

@@ -43,8 +43,8 @@ use std::time::{Duration, Instant};
 
 use snn_obs::{valid_rid, JournalSnapshot, Snapshot, TraceTree};
 use snn_serve::protocol::{
-    self, extract_rid, format_response, hello_reply, hex_decode, hex_encode, parse_response,
-    Response, PROTO_VERSION,
+    self, decode_trace, extract_rid, format_response, hello_reply, hex_encode, parse_response,
+    trace_reply, Response, PROTO_VERSION,
 };
 use snn_serve::{serve_connection, MuxHost, ServerConfig};
 
@@ -1087,8 +1087,15 @@ impl MuxHost for ClusterHost {
         }
     }
 
-    fn push_line(&self, seq: u64, journal_cursor: &mut u64) -> Option<String> {
-        render_cluster_push(&self.state, seq, journal_cursor)
+    fn registry(&self) -> &snn_obs::Registry {
+        &self.state.obs.registry
+    }
+
+    fn push_metrics(&self) -> Option<String> {
+        if self.is_shutdown() {
+            return None;
+        }
+        Some(merged_metrics(&self.state).2.render())
     }
 
     fn is_shutdown(&self) -> bool {
@@ -1097,10 +1104,6 @@ impl MuxHost for ClusterHost {
             .lock()
             .expect("cluster state poisoned")
             .shutdown
-    }
-
-    fn journal_total(&self) -> u64 {
-        self.state.obs.registry.journal_snapshot().total
     }
 
     fn on_wire(&self, proto: u32, rx_bytes: u64, tx_bytes: u64) {
@@ -1128,13 +1131,8 @@ impl MuxHost for ClusterHost {
         self.state.obs.writer_queue.set(writer_queue as f64);
     }
 
-    fn next_subscriber(&self) -> u64 {
-        self.state.obs.subscriber().0
-    }
-
-    fn on_push_drop(&self, sub: u64) {
+    fn on_push_drop(&self) {
         self.state.obs.subscribe_drops.inc();
-        self.state.obs.sub_drop_counter(sub).inc();
     }
 }
 
@@ -1302,45 +1300,103 @@ fn cluster_metrics_line(state: &State) -> String {
 }
 
 /// The cluster-wide merged exposition behind `cluster-metrics` and the
-/// router's `subscribe` stream: every live shard scraped on its own
-/// deadline, merged with the router's snapshot. Returns
+/// router's `subscribe` stream: every live shard's `metrics` scraped
+/// through [`fan_out`], merged with the router's snapshot. Returns
 /// `(live shards attempted, scrapes that succeeded, merged snapshot)`.
 fn merged_metrics(state: &State) -> (usize, usize, Snapshot) {
-    let backends: Vec<Arc<Backend>> = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        inner.backends.values().cloned().collect()
-    };
+    let (backends, _) = shards(state);
+    let scrapes = fan_out(state, &backends, "metrics", |resp| {
+        Snapshot::parse(&resp.text("data")?).ok()
+    });
+    let (attempted, ok) = tally(&scrapes);
+    let mut merged = router_snapshot(state);
+    for snap in scrapes.iter().filter_map(|s| s.got.as_ref()) {
+        merged.merge(snap);
+    }
+    (attempted, ok, merged)
+}
+
+/// The router's shards plus the frozen journals of the dead ones, read
+/// under one lock so a shard is never both (or neither).
+fn shards(state: &State) -> (Vec<Arc<Backend>>, Vec<String>) {
+    let inner = state.inner.lock().expect("cluster state poisoned");
+    (
+        inner.backends.values().cloned().collect(),
+        inner.victim_journals.values().cloned().collect(),
+    )
+}
+
+/// One shard's part of a [`fan_out`].
+struct Scrape<T> {
+    backend: Arc<Backend>,
+    /// Whether the shard was live, and so called.
+    live: bool,
+    /// Wall time of the call in microseconds (0 when not called).
+    took_us: u64,
+    /// The decoded reply; `None` for a dead shard or a failed call.
+    got: Option<T>,
+}
+
+/// `(live shards called, calls that succeeded)` of one fan-out.
+fn tally<T>(scrapes: &[Scrape<T>]) -> (usize, usize) {
+    let attempted = scrapes.iter().filter(|s| s.live).count();
+    (
+        attempted,
+        scrapes.iter().filter(|s| s.got.is_some()).count(),
+    )
+}
+
+/// The router's one shard fan-out: sends `request` to every live shard
+/// in `backends` at once, one scoped thread each, on the shard's own
+/// connection bounded by the scrape deadline, and decodes each reply
+/// with `decode`. A slow or stalled shard costs the caller at most one
+/// deadline in total — never the data-plane io timeout, and never one
+/// deadline per shard in sequence. Every call's wall time lands in
+/// `cluster.scrape_us`; every failed call (timeout, transport error,
+/// undecodable reply) is recorded by [`record_scrape_fail`]. Results
+/// come back in `backends` order.
+fn fan_out<T: Send>(
+    state: &State,
+    backends: &[Arc<Backend>],
+    request: &str,
+    decode: impl Fn(&Response) -> Option<T> + Sync,
+) -> Vec<Scrape<T>> {
     let deadline = state.limits.scrape_timeout;
-    let scraped: Vec<Option<Snapshot>> = std::thread::scope(|scope| {
+    let decode = &decode;
+    std::thread::scope(|scope| {
         let handles: Vec<_> = backends
             .iter()
             .map(|backend| {
                 scope.spawn(move || {
-                    if !backend.is_alive() {
-                        return None;
+                    let mut scrape = Scrape {
+                        backend: Arc::clone(backend),
+                        live: backend.is_alive(),
+                        took_us: 0,
+                        got: None,
+                    };
+                    if !scrape.live {
+                        return scrape;
                     }
                     let t0 = Instant::now();
-                    let snap = scrape_shard_metrics(backend, deadline);
-                    state.obs.scrape_us.record_duration(t0.elapsed());
-                    if snap.is_none() {
+                    scrape.got = backend
+                        .call_with_deadline(request, deadline)
+                        .and_then(|reply| parse_response(&reply).ok())
+                        .and_then(|resp| decode(&resp));
+                    let took = t0.elapsed();
+                    scrape.took_us = took.as_micros().min(u128::from(u64::MAX)) as u64;
+                    state.obs.scrape_us.record_duration(took);
+                    if scrape.got.is_none() {
                         record_scrape_fail(state, backend.id);
                     }
-                    Some(snap)
+                    scrape
                 })
             })
             .collect();
         handles
             .into_iter()
-            .filter_map(|h| h.join().expect("metrics scrape thread"))
+            .map(|h| h.join().expect("fan-out thread"))
             .collect()
-    });
-    let attempted = scraped.len();
-    let ok = scraped.iter().filter(|s| s.is_some()).count();
-    let mut merged = router_snapshot(state);
-    for snap in scraped.into_iter().flatten() {
-        merged.merge(&snap);
-    }
-    (attempted, ok, merged)
+    })
 }
 
 /// Records a failed fan-out scrape of a live shard, attributing the
@@ -1360,22 +1416,12 @@ fn record_scrape_fail(state: &State, shard: ShardId) {
         .journal_event("cluster.scrape_fail", "", &[("shard", shard.to_string())]);
 }
 
-/// One shard's `metrics` reply, decoded and parsed (`None` on timeout,
-/// transport failure, or a malformed exposition).
-fn scrape_shard_metrics(backend: &Backend, deadline: Duration) -> Option<Snapshot> {
-    let reply = backend.call_with_deadline("metrics", deadline)?;
-    let resp = parse_response(&reply).ok()?;
-    let text = String::from_utf8(hex_decode(resp.get("data")?).ok()?).ok()?;
-    Snapshot::parse(&text).ok()
-}
-
 /// One shard's `journal` reply, decoded to the raw journal text (`None`
 /// on timeout, transport failure, a malformed reply, or a shard that
 /// predates the verb — black-box capture is strictly best-effort).
 fn fetch_shard_journal(backend: &Backend, deadline: Duration) -> Option<String> {
     let reply = backend.call_with_deadline("journal", deadline)?;
-    let resp = parse_response(&reply).ok()?;
-    String::from_utf8(hex_decode(resp.get("data")?).ok()?).ok()
+    parse_response(&reply).ok()?.text("data")
 }
 
 /// `journal`: the router's own flight recorder (hex in `data`, the same
@@ -1392,35 +1438,19 @@ fn journal_line(state: &State) -> String {
 }
 
 /// `cluster-journal`: the merged cluster-wide flight recorder — the
-/// router's own journal, every live shard's fetched now on a bounded
-/// deadline, and the frozen post-mortem copies of dead shards. The
+/// router's own journal, every live shard's fetched now through
+/// [`fan_out`], and the frozen post-mortem copies of dead shards. The
 /// merge is ordered by event timestamp, so the tail of the reply reads
 /// as the cluster's last moments in causal order.
 fn cluster_journal_line(state: &State) -> String {
+    let (backends, victims) = shards(state);
+    let scrapes = fan_out(state, &backends, "journal", |resp| {
+        JournalSnapshot::parse(&resp.text("data")?).ok()
+    });
+    let (attempted, ok) = tally(&scrapes);
     let mut merged = state.obs.registry.journal_snapshot();
-    let (backends, victims): (Vec<Arc<Backend>>, Vec<String>) = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        (
-            inner.backends.values().cloned().collect(),
-            inner.victim_journals.values().cloned().collect(),
-        )
-    };
-    let deadline = state.limits.scrape_timeout;
-    let mut attempted = 0usize;
-    let mut ok = 0usize;
-    for backend in backends {
-        if !backend.is_alive() {
-            continue;
-        }
-        attempted += 1;
-        match fetch_shard_journal(&backend, deadline).and_then(|t| JournalSnapshot::parse(&t).ok())
-        {
-            Some(snap) => {
-                merged.merge(&snap);
-                ok += 1;
-            }
-            None => record_scrape_fail(state, backend.id),
-        }
+    for snap in scrapes.iter().filter_map(|s| s.got.as_ref()) {
+        merged.merge(snap);
     }
     for text in victims {
         if let Ok(snap) = JournalSnapshot::parse(&text) {
@@ -1435,96 +1465,47 @@ fn cluster_journal_line(state: &State) -> String {
     ]))
 }
 
-/// `trace rid=…`: the router's own raw trace material for one request
-/// id — its rid-filtered spans (a spans-only exposition in `data`) and
-/// rid-filtered journal events (in `journal`), the same reply shape a
-/// shard answers, so [`snn_serve::ServeClient::trace`] works against
-/// either tier. The merged, assembled view is `cluster-trace`.
-fn trace_line(state: &State, fields: &[(String, String)]) -> String {
-    let Some(rid) = find(fields, "rid") else {
-        return err_line("bad-request", "missing field rid");
-    };
-    if !valid_rid(rid) {
-        return err_line("bad-request", "invalid rid");
+/// The `rid=` field of a `trace`/`cluster-trace` line, or the
+/// `bad-request` reply line when it is missing or malformed.
+fn trace_rid(fields: &[(String, String)]) -> Result<&str, String> {
+    match find(fields, "rid") {
+        None => Err(err_line("bad-request", "missing field rid")),
+        Some(rid) if !valid_rid(rid) => Err(err_line("bad-request", "invalid rid")),
+        Some(rid) => Ok(rid),
     }
-    let reg = &state.obs.registry;
-    let mut snap = reg.snapshot();
-    snap.counters.clear();
-    snap.gauges.clear();
-    snap.histograms.clear();
-    snap.exemplars.clear();
-    snap.spans.retain(|s| s.rid == rid);
-    let mut journal = reg.journal_snapshot();
-    journal.events.retain(|e| e.rid == rid);
-    // Keep the codec invariant (total − events − dropped = 0): the
-    // filtered document stands alone, not as a window onto the ring.
-    journal.total = journal.events.len() as u64;
-    journal.dropped = 0;
-    format_response(&Response::ok([
-        ("instance", reg.instance().to_string()),
-        ("rid", rid.to_string()),
-        ("spans", snap.spans.len().to_string()),
-        ("events", journal.events.len().to_string()),
-        ("data", hex_encode(snap.render().as_bytes())),
-        ("journal", hex_encode(journal.render().as_bytes())),
-    ]))
+}
+
+/// `trace rid=…`: the router's own raw trace material for one request
+/// id, in the reply shape a shard answers ([`trace_reply`]), so
+/// [`snn_serve::ServeClient::trace`] works against either tier. The
+/// merged, assembled view is `cluster-trace`.
+fn trace_line(state: &State, fields: &[(String, String)]) -> String {
+    match trace_rid(fields) {
+        Ok(rid) => format_response(&trace_reply(&state.obs.registry, rid)),
+        Err(reply) => reply,
+    }
 }
 
 /// `cluster-trace rid=…`: the on-demand cluster-wide trace assembler.
-/// Fans `trace rid=…` out to every live shard on its own
-/// deadline-bounded connection (a slow shard costs one deadline and a
-/// `cluster.scrape_fail` tick, never the whole trace), merges the
-/// shards' spans and journal events with the router's own rid-filtered
-/// material **and the frozen post-mortem journals of dead shards**,
-/// assembles the parent-linked trace tree, and replies with the
-/// rendered `# snn-trace v1` document (hex in `data`). A request that
-/// crossed a shard which has since died still explains itself: the
-/// victim's journal events ride in as `via=journal` leaves.
+/// Fans `trace rid=…` out to every live shard through [`fan_out`],
+/// merges the shards' spans and journal events with the router's own
+/// rid-filtered material **and the frozen post-mortem journals of dead
+/// shards**, assembles the parent-linked trace tree, and replies with
+/// the rendered `# snn-trace v1` document (hex in `data`). A request
+/// that crossed a shard which has since died still explains itself:
+/// the victim's journal events ride in as `via=journal` leaves.
 fn cluster_trace_line(state: &State, fields: &[(String, String)]) -> String {
-    let Some(rid) = find(fields, "rid") else {
-        return err_line("bad-request", "missing field rid");
+    let rid = match trace_rid(fields) {
+        Ok(rid) => rid,
+        Err(reply) => return reply,
     };
-    if !valid_rid(rid) {
-        return err_line("bad-request", "invalid rid");
-    }
-    let (backends, victims): (Vec<Arc<Backend>>, Vec<String>) = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        (
-            inner.backends.values().cloned().collect(),
-            inner.victim_journals.values().cloned().collect(),
-        )
-    };
-    let deadline = state.limits.scrape_timeout;
-    let request = format!("trace rid={rid}");
-    let scraped: Vec<Option<(Snapshot, JournalSnapshot)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = backends
-            .iter()
-            .map(|backend| {
-                let request = request.as_str();
-                scope.spawn(move || {
-                    if !backend.is_alive() {
-                        return None;
-                    }
-                    let t0 = Instant::now();
-                    let got = fetch_shard_trace(backend, request, deadline);
-                    state.obs.scrape_us.record_duration(t0.elapsed());
-                    if got.is_none() {
-                        record_scrape_fail(state, backend.id);
-                    }
-                    Some(got)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("trace scrape thread"))
-            .collect()
-    });
-    let attempted = scraped.len();
-    let ok = scraped.iter().filter(|s| s.is_some()).count();
-    let mut spans = state.obs.registry.snapshot().spans;
-    let mut events = state.obs.registry.journal_snapshot().events;
-    for (snap, journal) in scraped.into_iter().flatten() {
+    let (backends, victims) = shards(state);
+    let scrapes = fan_out(state, &backends, &format!("trace rid={rid}"), decode_trace);
+    let (attempted, ok) = tally(&scrapes);
+    let (own_spans, own_journal) = state.obs.registry.trace_of(rid);
+    let mut spans = own_spans.spans;
+    let mut events = own_journal.events;
+    for (snap, journal) in scrapes.into_iter().filter_map(|s| s.got) {
         spans.extend(snap.spans);
         events.extend(journal.events);
     }
@@ -1548,24 +1529,6 @@ fn cluster_trace_line(state: &State, fields: &[(String, String)]) -> String {
         ("root_us", tree.root.dur_us.to_string()),
         ("data", hex_encode(tree.render().as_bytes())),
     ]))
-}
-
-/// One shard's `trace` reply, decoded to its span snapshot and journal
-/// events (`None` on timeout, transport failure, a malformed reply, or
-/// a shard that predates the verb).
-fn fetch_shard_trace(
-    backend: &Backend,
-    request: &str,
-    deadline: Duration,
-) -> Option<(Snapshot, JournalSnapshot)> {
-    let reply = backend.call_with_deadline(request, deadline)?;
-    let resp = parse_response(&reply).ok()?;
-    let spans = String::from_utf8(hex_decode(resp.get("data")?).ok()?).ok()?;
-    let journal = String::from_utf8(hex_decode(resp.get("journal")?).ok()?).ok()?;
-    Some((
-        Snapshot::parse(&spans).ok()?,
-        JournalSnapshot::parse(&journal).ok()?,
-    ))
 }
 
 /// `cluster-grow`: spawns a default-configured shard and joins it to the
@@ -1638,29 +1601,6 @@ fn least_loaded_shard(state: &State) -> Option<ShardId> {
         }
     }
     counts.into_iter().min_by_key(|&(_, n)| n).map(|(id, _)| id)
-}
-
-/// Renders one cluster telemetry push line (no trailing newline): the
-/// merged cluster-wide exposition plus the router's own journal delta
-/// since `prev_total`. `None` once the router is draining.
-fn render_cluster_push(state: &State, seq: u64, prev_total: &mut u64) -> Option<String> {
-    if state.inner.lock().expect("cluster state poisoned").shutdown {
-        return None;
-    }
-    let (_, _, metrics) = merged_metrics(state);
-    let mut journal = state.obs.registry.journal_snapshot();
-    // Delta framing, as on the shard tier: only events born since the
-    // last frame ride along.
-    let fresh = (journal.total - *prev_total).min(journal.events.len() as u64);
-    *prev_total = journal.total;
-    journal
-        .events
-        .drain(..journal.events.len() - fresh as usize);
-    Some(format!(
-        "push seq={seq} data={} journal={}",
-        hex_encode(metrics.render().as_bytes()),
-        hex_encode(journal.render().as_bytes()),
-    ))
 }
 
 /// `open`/`restore`: cluster admission, ring placement, optimistic table
@@ -1972,62 +1912,29 @@ fn evict_on_shard(id: &str, backend: &Backend) -> Option<String> {
 // ---------------------------------------------------------------------------
 // Stats aggregation.
 
+/// Every shard's `stats` through [`fan_out`]; dead shards and failed
+/// scrapes report zeros.
 fn shard_snapshot(state: &State) -> Vec<ShardStats> {
-    let backends: Vec<Arc<Backend>> = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        inner.backends.values().cloned().collect()
-    };
-    // One scoped thread per shard, each on its own deadline-bounded
-    // connection: a slow or stalled shard costs the caller at most one
-    // scrape_timeout in total — never the much larger data-plane
-    // io_timeout, and never one deadline per shard in sequence.
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = backends
-            .iter()
-            .map(|backend| scope.spawn(move || shard_stats(backend, state)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard stats thread"))
-            .collect()
-    })
-}
-
-fn shard_stats(backend: &Arc<Backend>, state: &State) -> ShardStats {
-    let mut stats = ShardStats {
-        id: backend.id,
-        addr: backend.addr,
-        alive: backend.is_alive(),
-        sessions: 0,
-        queued_jobs: 0,
-        total_samples: 0,
-        total_j: 0.0,
-        uptime_s: 0,
-        scrape_us: 0,
-    };
-    if stats.alive {
-        let t0 = Instant::now();
-        let resp = backend
-            .call_with_deadline("stats", state.limits.scrape_timeout)
-            .and_then(|reply| parse_response(&reply).ok());
-        let elapsed = t0.elapsed();
-        stats.scrape_us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-        state.obs.scrape_us.record_duration(elapsed);
-        if let Some(resp) = resp {
-            let num = |key: &str| resp.get(key).and_then(|v| v.parse::<u64>().ok());
-            stats.sessions = num("sessions").unwrap_or(0) as usize;
-            stats.queued_jobs = num("queued_jobs").unwrap_or(0) as usize;
-            stats.total_samples = num("total_samples").unwrap_or(0);
-            stats.total_j = resp
-                .get("total_j")
-                .and_then(|v| v.parse::<f64>().ok())
-                .unwrap_or(0.0);
-            stats.uptime_s = num("uptime_s").unwrap_or(0);
-        } else {
-            record_scrape_fail(state, backend.id);
-        }
-    }
-    stats
+    let (backends, _) = shards(state);
+    fan_out(state, &backends, "stats", |resp| Some(resp.clone()))
+        .into_iter()
+        .map(|scrape| {
+            let resp = scrape.got.as_ref();
+            let get = |key: &str| resp.and_then(|r| r.get(key));
+            let num = |key: &str| get(key).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
+            ShardStats {
+                id: scrape.backend.id,
+                addr: scrape.backend.addr,
+                alive: scrape.live,
+                sessions: num("sessions") as usize,
+                queued_jobs: num("queued_jobs") as usize,
+                total_samples: num("total_samples"),
+                total_j: get("total_j").and_then(|v| v.parse().ok()).unwrap_or(0.0),
+                uptime_s: num("uptime_s"),
+                scrape_us: scrape.took_us,
+            }
+        })
+        .collect()
 }
 
 fn gather_stats(state: &State) -> ClusterStats {
@@ -2106,4 +2013,44 @@ fn cluster_stats_line(state: &State) -> String {
         pairs.push((format!("s{i}_scrape_us"), shard.scrape_us.to_string()));
     }
     format_response(&Response::Ok(pairs))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Condvar;
+
+    /// `fan_out` calls every shard at once: each call checks in on a
+    /// shared count and waits until all calls have, so a sequential
+    /// fan-out would leave its first call alone until the wait runs out.
+    #[test]
+    fn fan_out_calls_every_shard_concurrently() {
+        const SHARDS: usize = 3;
+        let cluster = Cluster::start("127.0.0.1:0", ClusterConfig::default()).unwrap();
+        for _ in 0..SHARDS {
+            cluster.spawn_shard(ServerConfig::default()).unwrap();
+        }
+        let (backends, _) = shards(&cluster.state);
+        let checked_in = (Mutex::new(0usize), Condvar::new());
+        let scrapes = fan_out(&cluster.state, &backends, "ping", |_| {
+            let (count, all_in) = &checked_in;
+            let mut n = count.lock().unwrap();
+            *n += 1;
+            all_in.notify_all();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while *n < SHARDS {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
+                }
+                n = all_in.wait_timeout(n, left).unwrap().0;
+            }
+            Some(*n)
+        });
+        assert_eq!(tally(&scrapes), (SHARDS, SHARDS));
+        for scrape in &scrapes {
+            assert_eq!(scrape.got, Some(SHARDS), "shard {}", scrape.backend.id);
+        }
+        cluster.shutdown();
+    }
 }

@@ -8,7 +8,7 @@
 //! counter <name> <u64>
 //! gauge <name> <f64>
 //! hist <name> <sum> <bucket>:<count>,...      (`-` when empty)
-//! span <name> <rid> <start_us> <dur_us> [k=v ...]   (rid `-` when unattributed)
+//! span <name> <rid> <at_us> <dur_us> [k=v ...]   (rid `-` when unattributed)
 //! exemplar <name> <region> <value> <rid> [k=v ...]
 //! ```
 //!
@@ -17,34 +17,19 @@
 //! shard's exposition over the wire, parse it, merge it, and re-render
 //! the aggregate without loss. Merging is associative and commutative:
 //! counters and gauges add, histograms add bucket-wise, spans form a
-//! canonically sorted multiset.
+//! canonically sorted multiset. A `span` line is the journal's `event`
+//! line plus `dur_us`; both go through one line codec ([`Event`]).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::event::{doc_body, Event, ParseError};
 use crate::metrics::{Exemplar, HistogramSnapshot, HIST_BUCKETS, HIST_REGIONS};
 use crate::registry::valid_name;
-use crate::trace::{canonical_cmp, valid_rid, SpanRecord};
+use crate::trace::valid_rid;
 
 /// The exposition header every rendered snapshot starts with.
 pub const EXPO_HEADER: &str = "# snn-obs v1";
-
-/// A parse error, with the 1-based line it occurred on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExpoError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What was wrong.
-    pub reason: String,
-}
-
-impl std::fmt::Display for ExpoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "exposition line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for ExpoError {}
 
 /// A point-in-time copy of one registry (or a merge of several).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -57,7 +42,7 @@ pub struct Snapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Retained spans (insertion order for a single registry, canonical
     /// order after a merge).
-    pub spans: Vec<SpanRecord>,
+    pub spans: Vec<Event>,
     /// Tail-latency exemplars by histogram name, region-ascending. At
     /// most one exemplar per (name, region); merging keeps the slowest.
     pub exemplars: BTreeMap<String, Vec<Exemplar>>,
@@ -81,7 +66,7 @@ impl Snapshot {
             self.histograms.entry(k.clone()).or_default().merge(v);
         }
         self.spans.extend(other.spans.iter().cloned());
-        self.spans.sort_by(canonical_cmp);
+        self.spans.sort_by(Event::canonical_cmp);
         for (name, theirs) in &other.exemplars {
             let ours = self.exemplars.entry(name.clone()).or_default();
             for e in theirs {
@@ -148,16 +133,7 @@ impl Snapshot {
             let _ = writeln!(out, "hist {name} {} {buckets}", h.sum);
         }
         for span in &self.spans {
-            let rid = if span.rid.is_empty() { "-" } else { &span.rid };
-            let _ = write!(
-                out,
-                "span {} {rid} {} {}",
-                span.name, span.start_us, span.dur_us
-            );
-            for (k, v) in &span.fields {
-                let _ = write!(out, " {k}={v}");
-            }
-            out.push('\n');
+            span.render_line(&mut out, "span", true);
         }
         for (name, exemplars) in &self.exemplars {
             for e in exemplars {
@@ -175,27 +151,12 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Returns [`ExpoError`] on a missing/unknown header, malformed
+    /// Returns [`ParseError`] on a missing/unknown header, malformed
     /// lines, out-of-range buckets, or invalid names.
-    pub fn parse(text: &str) -> Result<Snapshot, ExpoError> {
-        let err = |line: usize, reason: &str| ExpoError {
-            line,
-            reason: reason.to_string(),
-        };
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, first)) if first.trim_end() == EXPO_HEADER => {}
-            _ => return Err(err(1, "missing `# snn-obs v1` header")),
-        }
+    pub fn parse(text: &str) -> Result<Snapshot, ParseError> {
+        let err = |line: usize, reason: &str| ParseError::new("exposition", line, reason);
         let mut snap = Snapshot::new();
-        for (i, raw) in lines {
-            let n = i + 1;
-            let line = raw.trim_end();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut tok = line.split(' ');
-            let kind = tok.next().unwrap_or_default();
+        for (n, kind, mut tok) in doc_body(text, "exposition", EXPO_HEADER)? {
             match kind {
                 "counter" | "gauge" => {
                     let name = tok.next().ok_or_else(|| err(n, "missing name"))?;
@@ -252,44 +213,9 @@ impl Snapshot {
                     }
                     snap.histograms.insert(name.to_string(), h);
                 }
-                "span" => {
-                    let name = tok.next().ok_or_else(|| err(n, "missing name"))?;
-                    if !valid_name(name) {
-                        return Err(err(n, "invalid span name"));
-                    }
-                    let rid = tok.next().ok_or_else(|| err(n, "missing rid"))?;
-                    let rid = if rid == "-" {
-                        String::new()
-                    } else if valid_rid(rid) {
-                        rid.to_string()
-                    } else {
-                        return Err(err(n, "invalid rid"));
-                    };
-                    let start_us = tok
-                        .next()
-                        .ok_or_else(|| err(n, "missing start_us"))?
-                        .parse::<u64>()
-                        .map_err(|_| err(n, "start_us is not a u64"))?;
-                    let dur_us = tok
-                        .next()
-                        .ok_or_else(|| err(n, "missing dur_us"))?
-                        .parse::<u64>()
-                        .map_err(|_| err(n, "dur_us is not a u64"))?;
-                    let mut fields = Vec::new();
-                    for pair in tok {
-                        let (k, v) = pair
-                            .split_once('=')
-                            .ok_or_else(|| err(n, "span field is not k=v"))?;
-                        fields.push((k.to_string(), v.to_string()));
-                    }
-                    snap.spans.push(SpanRecord {
-                        name: name.to_string(),
-                        rid,
-                        start_us,
-                        dur_us,
-                        fields,
-                    });
-                }
+                "span" => snap
+                    .spans
+                    .push(Event::parse_line(tok, true).map_err(|r| err(n, r))?),
                 "exemplar" => {
                     let name = tok.next().ok_or_else(|| err(n, "missing name"))?;
                     if !valid_name(name) {
@@ -409,10 +335,10 @@ mod tests {
         b.counters.insert("other".into(), 7);
         let mut c = Snapshot::new();
         c.gauges.insert("g".into(), 2.0);
-        c.spans.push(SpanRecord {
+        c.spans.push(Event {
             name: "x".into(),
             rid: String::new(),
-            start_us: 0,
+            at_us: 0,
             dur_us: 1,
             fields: vec![],
         });

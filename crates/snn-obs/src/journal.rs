@@ -4,9 +4,10 @@
 //! rejects, drift, evictions, probe failures, failovers, autoscaler
 //! decisions — recorded always-on by every tier next to its metrics
 //! registry. Where metrics answer "how much / how fast", the journal
-//! answers "what happened, in what order, to whom": each event carries a
-//! dotted kind (`cluster.shard_down`), the request id that caused it,
-//! its birth-relative timestamp, and free-form `k=v` context.
+//! answers "what happened, in what order, to whom": each event is an
+//! [`Event`] with `dur_us = 0` — a dotted name (`cluster.shard_down`),
+//! the request id that caused it, its birth-relative timestamp, and
+//! free-form `k=v` context.
 //!
 //! The ring is bounded ([`JOURNAL_RING`]) and lock-cheap (one short
 //! mutex per record, no allocation beyond the event itself), so it can
@@ -18,14 +19,16 @@
 //! ```text
 //! # snn-journal v1
 //! meta total=<u64> dropped=<u64>
-//! event <kind> <rid|-> <at_us> [k=v ...]
+//! event <name> <rid|-> <at_us> [k=v ...]
 //! ```
 //!
 //! [`JournalSnapshot::render`] ∘ [`JournalSnapshot::parse`] is an
-//! identity (pinned by this module's tests). Merging concatenates event
-//! multisets in canonical `(at_us, kind, rid, fields)` order and sums
-//! the `meta` counters — the basis of the router's merged post-mortem
-//! dump (`cluster-journal`), where one document stitches the router's
+//! identity (pinned by this module's tests). An `event` line is the
+//! exposition's `span` line without `dur_us`; both go through one line
+//! codec. Merging concatenates event multisets in canonical
+//! `(at_us, name, rid, fields)` order and sums the `meta` counters —
+//! the basis of the router's merged post-mortem dump
+//! (`cluster-journal`), where one document stitches the router's
 //! probe-failure/failover chain to the shards' restore events by rid.
 //! Timestamps are per-instance birth offsets, so cross-instance order is
 //! approximate; *within* one instance it is exact, and rid stitching is
@@ -33,8 +36,7 @@
 
 use std::fmt::Write as _;
 
-use crate::registry::valid_name;
-use crate::trace::valid_rid;
+use crate::event::{doc_body, Event, ParseError};
 
 /// How many recent events a journal retains (older events are dropped
 /// and counted in `dropped`).
@@ -42,52 +44,6 @@ pub const JOURNAL_RING: usize = 512;
 
 /// The header every rendered journal starts with.
 pub const JOURNAL_HEADER: &str = "# snn-journal v1";
-
-/// One recorded event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalEvent {
-    /// What happened (metric-style dotted name, e.g. `cluster.failover`).
-    pub kind: String,
-    /// The originating request id; empty for unattributed events.
-    pub rid: String,
-    /// Offset in microseconds since the recording registry's birth.
-    pub at_us: u64,
-    /// Extra key/value context (e.g. `id`, `shard`, `cause`).
-    pub fields: Vec<(String, String)>,
-}
-
-impl JournalEvent {
-    /// The value of `key` in [`JournalEvent::fields`], if present.
-    pub fn field(&self, key: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Canonical event ordering used after merging journals, so merge stays
-/// associative (a sorted multiset is order-insensitive).
-fn canonical_cmp(a: &JournalEvent, b: &JournalEvent) -> std::cmp::Ordering {
-    (a.at_us, &a.kind, &a.rid, &a.fields).cmp(&(b.at_us, &b.kind, &b.rid, &b.fields))
-}
-
-/// A journal parse error, with the 1-based line it occurred on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What was wrong.
-    pub reason: String,
-}
-
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "journal line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for JournalError {}
 
 /// A point-in-time copy of one journal ring (or a merge of several).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -99,8 +55,8 @@ pub struct JournalSnapshot {
     /// Events the ring dropped to stay bounded.
     pub dropped: u64,
     /// Retained events: recording order for a single registry, canonical
-    /// `(at_us, kind, rid, fields)` order after a merge.
-    pub events: Vec<JournalEvent>,
+    /// `(at_us, name, rid, fields)` order after a merge.
+    pub events: Vec<Event>,
 }
 
 impl JournalSnapshot {
@@ -115,12 +71,12 @@ impl JournalSnapshot {
         self.total += other.total;
         self.dropped += other.dropped;
         self.events.extend(other.events.iter().cloned());
-        self.events.sort_by(canonical_cmp);
+        self.events.sort_by(Event::canonical_cmp);
     }
 
-    /// Convenience: the retained events of one kind, in order.
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a JournalEvent> {
-        self.events.iter().filter(move |e| e.kind == kind)
+    /// Convenience: the retained events named `name`, in order.
+    pub fn of_kind<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Event> {
+        self.events.iter().filter(move |e| e.name == name)
     }
 
     /// Renders the journal text (ends with a newline).
@@ -129,12 +85,7 @@ impl JournalSnapshot {
         let _ = writeln!(out, "{JOURNAL_HEADER}");
         let _ = writeln!(out, "meta total={} dropped={}", self.total, self.dropped);
         for e in &self.events {
-            let rid = if e.rid.is_empty() { "-" } else { &e.rid };
-            let _ = write!(out, "event {} {rid} {}", e.kind, e.at_us);
-            for (k, v) in &e.fields {
-                let _ = write!(out, " {k}={v}");
-            }
-            out.push('\n');
+            e.render_line(&mut out, "event", false);
         }
         out
     }
@@ -144,28 +95,15 @@ impl JournalSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns [`JournalError`] on a missing/unknown header, malformed
-    /// lines, or invalid kinds/rids. Parsing allocates proportionally to
-    /// the input text only — no field in the format pre-sizes anything.
-    pub fn parse(text: &str) -> Result<JournalSnapshot, JournalError> {
-        let err = |line: usize, reason: &str| JournalError {
-            line,
-            reason: reason.to_string(),
-        };
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, first)) if first.trim_end() == JOURNAL_HEADER => {}
-            _ => return Err(err(1, "missing `# snn-journal v1` header")),
-        }
+    /// Returns [`ParseError`] on a missing/unknown header, malformed
+    /// lines, or invalid names/rids/field keys. Parsing allocates
+    /// proportionally to the input text only — no field in the format
+    /// pre-sizes anything.
+    pub fn parse(text: &str) -> Result<JournalSnapshot, ParseError> {
+        let err = |line: usize, reason: &str| ParseError::new("journal", line, reason);
         let mut snap = JournalSnapshot::new();
-        for (i, raw) in lines {
-            let n = i + 1;
-            let line = raw.trim_end();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut tok = line.split(' ');
-            match tok.next().unwrap_or_default() {
+        for (n, tag, tok) in doc_body(text, "journal", JOURNAL_HEADER)? {
+            match tag {
                 "meta" => {
                     for pair in tok {
                         let (k, v) = pair
@@ -181,41 +119,9 @@ impl JournalSnapshot {
                         }
                     }
                 }
-                "event" => {
-                    let kind = tok.next().ok_or_else(|| err(n, "missing kind"))?;
-                    if !valid_name(kind) {
-                        return Err(err(n, "invalid event kind"));
-                    }
-                    let rid = tok.next().ok_or_else(|| err(n, "missing rid"))?;
-                    let rid = if rid == "-" {
-                        String::new()
-                    } else if valid_rid(rid) {
-                        rid.to_string()
-                    } else {
-                        return Err(err(n, "invalid rid"));
-                    };
-                    let at_us = tok
-                        .next()
-                        .ok_or_else(|| err(n, "missing at_us"))?
-                        .parse::<u64>()
-                        .map_err(|_| err(n, "at_us is not a u64"))?;
-                    let mut fields = Vec::new();
-                    for pair in tok {
-                        let (k, v) = pair
-                            .split_once('=')
-                            .ok_or_else(|| err(n, "event field is not k=v"))?;
-                        if !valid_name(k) {
-                            return Err(err(n, "invalid event field key"));
-                        }
-                        fields.push((k.to_string(), v.to_string()));
-                    }
-                    snap.events.push(JournalEvent {
-                        kind: kind.to_string(),
-                        rid,
-                        at_us,
-                        fields,
-                    });
-                }
+                "event" => snap
+                    .events
+                    .push(Event::parse_line(tok, false).map_err(|r| err(n, r))?),
                 _ => return Err(err(n, "unknown line kind")),
             }
         }

@@ -8,10 +8,18 @@
 //!   engine and scheduler can record without perturbing timing — and
 //!   *never* results, which depend only on persisted seeds (pinned by
 //!   `tests/obs_metrics.rs`).
-//! * **Registry** ([`Registry`]): per-instance named metric handles, a
-//!   bounded ring of recent [`SpanRecord`]s, and request-id minting.
-//!   One registry per server/router instance — the harness runs many
-//!   shards in one process, so nothing here is process-global.
+//! * **Events** ([`Event`]): one record type for spans and journal
+//!   events — `name`, `rid`, `at_us`, `dur_us`, `k=v` fields. A journal
+//!   event is an `Event` with `dur_us = 0`. One bounded ring type and
+//!   one line codec serve both; the two text formats differ only in the
+//!   line tag (`span`/`event`) and whether `dur_us` is written.
+//! * **Registry** ([`Registry`]): per-instance named metric handles,
+//!   two bounded event rings — spans ([`SPAN_RING`]) and the journal
+//!   ([`JOURNAL_RING`]), kept apart so per-request spans cannot flush
+//!   rare failover events out of the flight recorder — and request-id
+//!   minting. One registry per server/router instance — the harness
+//!   runs many shards in one process, so nothing here is
+//!   process-global.
 //! * **Tracing**: a request id (`rid`) is minted where a request first
 //!   enters the stack and propagated as a trailing `rid=` field on
 //!   forwarded protocol lines; spans recorded at every layer carry it,
@@ -19,6 +27,7 @@
 //!   scheduler ticks. Spans carrying `phase=`/`parent=` fields assemble
 //!   into parent-linked [`TraceTree`]s with a versioned `# snn-trace v1`
 //!   codec and a deterministic critical-path report (`DESIGN.md` §14).
+//!   [`Registry::trace_of`] hands out one rid's spans and events.
 //! * **Exemplars** ([`Exemplar`]): per-histogram tail-latency exemplars
 //!   — the slowest sample per bucket region keeps its rid and context,
 //!   so a bad p99 links directly to a concrete trace.
@@ -26,12 +35,13 @@
 //!   render/parse pair is self-inverse, with associative snapshot
 //!   merging — the basis of the `metrics` wire verb and the cluster-wide
 //!   `cluster-metrics` fan-out scrape.
-//! * **Flight recorder** ([`JournalSnapshot`]): a bounded, always-on
-//!   ring of structured events (admissions, rejects, drift, evictions,
-//!   probe failures, failovers) with its own versioned text codec and
-//!   associative merge — the post-mortem complement to metrics, served
-//!   over the `journal` wire verb and merged cluster-wide by
-//!   `cluster-journal`.
+//! * **Flight recorder** ([`JournalSnapshot`]): the journal ring
+//!   (admissions, rejects, drift, evictions, probe failures, failovers)
+//!   as a versioned text document with associative merge — the
+//!   post-mortem complement to metrics, served over the `journal` wire
+//!   verb and merged cluster-wide by `cluster-journal`.
+//!   [`Registry::journal_since`] turns the ring into per-subscriber
+//!   deltas for `subscribe` push frames.
 //!
 //! Naming scheme, trace propagation rules, and the exposition grammar
 //! are specified in `DESIGN.md` §10; the journal event schema and
@@ -39,22 +49,23 @@
 
 #![deny(missing_docs)]
 
+mod event;
 mod expo;
 mod journal;
 mod metrics;
 mod registry;
 mod trace;
 
-pub use expo::{ExpoError, Snapshot, EXPO_HEADER};
-pub use journal::{JournalError, JournalEvent, JournalSnapshot, JOURNAL_HEADER, JOURNAL_RING};
+pub use event::{Event, ParseError};
+pub use expo::{Snapshot, EXPO_HEADER};
+pub use journal::{JournalSnapshot, JOURNAL_HEADER, JOURNAL_RING};
 pub use metrics::{
     bucket_index, bucket_region, bucket_upper_bound, Counter, Exemplar, Gauge, Histogram,
     HistogramSnapshot, HIST_BUCKETS, HIST_REGIONS,
 };
 pub use registry::{valid_name, Registry, SPAN_RING};
 pub use trace::{
-    valid_rid, SpanRecord, TraceError, TraceNode, TraceShares, TraceTree, MAX_RID, PARENT_KEY,
-    PHASE_KEY, TRACE_HEADER,
+    valid_rid, TraceNode, TraceShares, TraceTree, MAX_RID, PARENT_KEY, PHASE_KEY, TRACE_HEADER,
 };
 
 #[cfg(test)]

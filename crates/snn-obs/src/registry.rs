@@ -1,5 +1,5 @@
-//! The metrics registry: named counters/gauges/histograms, a bounded
-//! span ring, and rid minting.
+//! The metrics registry: named counters/gauges/histograms, two bounded
+//! event rings (spans and the journal), and rid minting.
 //!
 //! One registry per serving instance (an `snn-serve` server or an
 //! `snn-cluster` router). Instances are per-object rather than
@@ -11,15 +11,16 @@
 //! a name map; hot paths call it once at construction, cache the `Arc`,
 //! and then touch only lock-free atomics.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::event::{Event, EventRing};
 use crate::expo::Snapshot;
-use crate::journal::{JournalEvent, JournalSnapshot, JOURNAL_RING};
+use crate::journal::{JournalSnapshot, JOURNAL_RING};
 use crate::metrics::{bucket_region, Counter, Exemplar, Gauge, Histogram};
-use crate::trace::SpanRecord;
+use crate::trace::valid_rid;
 
 /// How many recent spans a registry retains (older spans are dropped;
 /// counters and histograms carry the long-run aggregate).
@@ -45,22 +46,15 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    spans: Mutex<VecDeque<SpanRecord>>,
-    /// Spans the ring dropped to stay bounded, surfaced in the
-    /// exposition as the `obs.spans_dropped` counter — truncation is
-    /// visible, never silent.
-    spans_dropped: AtomicU64,
+    /// Recent spans; drops surface as the `obs.spans_dropped` counter.
+    spans: Mutex<EventRing>,
     /// Tail-latency exemplars: per histogram name, the slowest sample's
     /// rid (and context) per bucket region. Bounded by construction
     /// (histogram count × [`crate::HIST_REGIONS`]).
     exemplars: Mutex<BTreeMap<String, BTreeMap<usize, Exemplar>>>,
-    /// The flight-recorder ring (see [`crate::journal`]).
-    journal: Mutex<VecDeque<JournalEvent>>,
-    /// Events ever journaled (retained or dropped).
-    journal_total: AtomicU64,
-    /// Events the journal ring dropped to stay bounded, surfaced as the
-    /// `obs.journal_dropped` counter.
-    journal_dropped: AtomicU64,
+    /// The flight-recorder ring (see [`crate::journal`]); drops surface
+    /// as the `obs.journal_dropped` counter.
+    journal: Mutex<EventRing>,
 }
 
 impl Registry {
@@ -69,7 +63,7 @@ impl Registry {
     /// registry in merged scrapes.
     pub fn new(instance: &str) -> Self {
         assert!(
-            crate::trace::valid_rid(instance),
+            valid_rid(instance),
             "registry instance must be a valid rid prefix"
         );
         Registry {
@@ -79,12 +73,9 @@ impl Registry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            spans: Mutex::new(VecDeque::with_capacity(SPAN_RING)),
-            spans_dropped: AtomicU64::new(0),
+            spans: Mutex::new(EventRing::new(SPAN_RING)),
             exemplars: Mutex::new(BTreeMap::new()),
-            journal: Mutex::new(VecDeque::with_capacity(JOURNAL_RING)),
-            journal_total: AtomicU64::new(0),
-            journal_dropped: AtomicU64::new(0),
+            journal: Mutex::new(EventRing::new(JOURNAL_RING)),
         }
     }
 
@@ -140,29 +131,13 @@ impl Registry {
     /// token alphabet are sanitised, never rejected — tracing must not
     /// fail work that succeeded.
     pub fn span(&self, name: &str, rid: &str, dur: Duration, fields: &[(&str, String)]) {
-        let now_us = self.birth.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         let dur_us = dur.as_micros().min(u128::from(u64::MAX)) as u64;
-        let record = SpanRecord {
-            name: sanitize(name),
-            rid: if crate::trace::valid_rid(rid) {
-                rid.to_string()
-            } else {
-                String::new()
-            },
-            start_us: now_us.saturating_sub(dur_us),
-            dur_us,
-            fields: fields
-                .iter()
-                .filter(|(k, _)| !matches!(*k, "rid" | "start_us" | "dur_us"))
-                .map(|(k, v)| (sanitize(k), sanitize(v)))
-                .collect(),
-        };
-        let mut ring = self.spans.lock().expect("span ring poisoned");
-        if ring.len() >= SPAN_RING {
-            ring.pop_front();
-            self.spans_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(record);
+        let at_us = self.uptime_us().saturating_sub(dur_us);
+        let fields = fields
+            .iter()
+            .filter(|(k, _)| !matches!(*k, "rid" | "start_us" | "dur_us"));
+        let event = sanitized_event(name, rid, at_us, dur_us, fields);
+        self.spans.lock().expect("span ring poisoned").push(event);
     }
 
     /// Records a tail-latency exemplar for the histogram `name`: if
@@ -175,7 +150,7 @@ impl Registry {
     /// record exemplars next to `Histogram::record`, not inside engine
     /// loops.
     pub fn exemplar(&self, name: &str, value: u64, rid: &str, fields: &[(&str, String)]) {
-        if !crate::trace::valid_rid(rid) {
+        if !valid_rid(rid) {
             return;
         }
         let candidate = Exemplar {
@@ -197,50 +172,72 @@ impl Registry {
         }
     }
 
-    /// Records one flight-recorder event, stamped now. The same
-    /// sanitisation discipline as [`Registry::span`]: bad kinds, rids,
-    /// and field values are repaired, never rejected — journaling must
-    /// not fail work that succeeded. The ring is bounded; overflow drops
-    /// the oldest event and counts it.
-    pub fn journal_event(&self, kind: &str, rid: &str, fields: &[(&str, String)]) {
-        let event = JournalEvent {
-            kind: sanitize(kind),
-            rid: if crate::trace::valid_rid(rid) {
-                rid.to_string()
-            } else {
-                String::new()
-            },
-            at_us: self.uptime_us(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (sanitize(k), sanitize(v)))
-                .collect(),
-        };
-        self.journal_total.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.journal.lock().expect("journal ring poisoned");
-        if ring.len() >= JOURNAL_RING {
-            ring.pop_front();
-            self.journal_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(event);
+    /// Records one flight-recorder event, stamped now: an [`Event`]
+    /// with `dur_us = 0`. The same sanitisation discipline as
+    /// [`Registry::span`]: bad names, rids, and field values are
+    /// repaired, never rejected — journaling must not fail work that
+    /// succeeded. The ring is bounded; overflow drops the oldest event
+    /// and counts it.
+    pub fn journal_event(&self, name: &str, rid: &str, fields: &[(&str, String)]) {
+        let event = sanitized_event(name, rid, self.uptime_us(), 0, fields.iter());
+        self.journal
+            .lock()
+            .expect("journal ring poisoned")
+            .push(event);
     }
 
     /// A point-in-time copy of the flight-recorder ring, with the
-    /// ever-recorded total and drop count (the total lets a subscriber
-    /// turn consecutive snapshots into an exact event delta).
+    /// ever-recorded total and drop count.
     pub fn journal_snapshot(&self) -> JournalSnapshot {
-        let events: Vec<JournalEvent> = self
+        self.journal_since(&mut 0)
+    }
+
+    /// A cursor at the journal's current end, for [`Registry::journal_since`].
+    pub fn journal_cursor(&self) -> u64 {
+        self.journal.lock().expect("journal ring poisoned").total
+    }
+
+    /// The journal delta since `cursor` (a value of
+    /// [`Registry::journal_cursor`], or of an earlier call's advanced
+    /// cursor): the retained events recorded after it, with the ring's
+    /// cumulative `total`/`dropped`, so a subscriber's consecutive
+    /// deltas add up even across lost frames. Advances `cursor` to the
+    /// current end. A cursor of 0 reads the whole ring.
+    pub fn journal_since(&self, cursor: &mut u64) -> JournalSnapshot {
+        let ring = self.journal.lock().expect("journal ring poisoned");
+        let events = ring.since(*cursor);
+        *cursor = ring.total;
+        JournalSnapshot {
+            total: ring.total,
+            dropped: ring.dropped,
+            events,
+        }
+    }
+
+    /// This registry's raw trace material for `rid`: its retained spans
+    /// stamped with the rid (a spans-only exposition) and its journal
+    /// events stamped with it. The journal copy stands alone — its
+    /// `total` is the events it holds and `dropped` is 0 — so it keeps
+    /// the codec's invariant instead of reading as a window onto the ring.
+    pub fn trace_of(&self, rid: &str) -> (Snapshot, JournalSnapshot) {
+        let spans = self.spans.lock().expect("span ring poisoned").of_rid(rid);
+        let events = self
             .journal
             .lock()
             .expect("journal ring poisoned")
-            .iter()
-            .cloned()
-            .collect();
-        JournalSnapshot {
-            total: self.journal_total.load(Ordering::Relaxed),
-            dropped: self.journal_dropped.load(Ordering::Relaxed),
+            .of_rid(rid);
+        let journal = JournalSnapshot {
+            total: events.len() as u64,
+            dropped: 0,
             events,
-        }
+        };
+        (
+            Snapshot {
+                spans,
+                ..Snapshot::new()
+            },
+            journal,
+        )
     }
 
     /// Microseconds since this registry was created (the span clock).
@@ -259,13 +256,14 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        counters.insert(
-            "obs.spans_dropped".to_string(),
-            self.spans_dropped.load(Ordering::Relaxed),
-        );
+        let spans = {
+            let ring = self.spans.lock().expect("span ring poisoned");
+            counters.insert("obs.spans_dropped".to_string(), ring.dropped);
+            ring.since(0)
+        };
         counters.insert(
             "obs.journal_dropped".to_string(),
-            self.journal_dropped.load(Ordering::Relaxed),
+            self.journal.lock().expect("journal ring poisoned").dropped,
         );
         let gauges = self
             .gauges
@@ -280,13 +278,6 @@ impl Registry {
             .expect("histogram map poisoned")
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect();
-        let spans = self
-            .spans
-            .lock()
-            .expect("span ring poisoned")
-            .iter()
-            .cloned()
             .collect();
         let exemplars = self
             .exemplars
@@ -305,8 +296,30 @@ impl Registry {
     }
 }
 
+/// An event with its name, field keys, and values sanitised and an
+/// invalid rid recorded as unattributed.
+fn sanitized_event<'a>(
+    name: &str,
+    rid: &str,
+    at_us: u64,
+    dur_us: u64,
+    fields: impl Iterator<Item = &'a (&'a str, String)>,
+) -> Event {
+    Event {
+        name: sanitize(name),
+        rid: if valid_rid(rid) {
+            rid.to_string()
+        } else {
+            String::new()
+        },
+        at_us,
+        dur_us,
+        fields: fields.map(|(k, v)| (sanitize(k), sanitize(v))).collect(),
+    }
+}
+
 /// Replaces every character outside the token alphabet with `_` and
-/// bounds the length, so spans can never break line framing or the
+/// bounds the length, so events can never break line framing or the
 /// exposition grammar.
 fn sanitize(s: &str) -> String {
     let mut out: String = s
@@ -349,7 +362,7 @@ mod tests {
         let b = r.mint_rid();
         assert_ne!(a, b);
         assert!(a.starts_with("s9-"));
-        assert!(crate::trace::valid_rid(&a));
+        assert!(valid_rid(&a));
     }
 
     #[test]
@@ -380,7 +393,6 @@ mod tests {
 
     #[test]
     fn journal_ring_is_bounded_with_visible_drops() {
-        use crate::journal::JOURNAL_RING;
         let r = Registry::new("t3");
         for i in 0..(JOURNAL_RING + 5) {
             r.journal_event(

@@ -20,10 +20,12 @@
 //! sharing one rid, collected across every process that touched the
 //! request, assemble into one [`TraceTree`]; journal events carrying the
 //! rid (including a dead shard's black-box journal) ride along as
-//! zero-duration `event.<kind>` leaves, so a trace survives the death of
+//! zero-duration `event.<name>` leaves, so a trace survives the death of
 //! the shard that served it. The tree renders as a versioned
 //! `# snn-trace v1` document with an embedded (comment-prefixed)
 //! critical-path report; see `DESIGN.md` §14.
+
+use crate::event::{doc_body, Event, ParseError};
 
 /// Maximum rid length in bytes.
 pub const MAX_RID: usize = 64;
@@ -39,38 +41,6 @@ pub fn valid_rid(rid: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
 }
 
-/// One completed span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// What ran (metric-style dotted name, e.g. `serve.ingest`).
-    pub name: String,
-    /// The originating request id; empty for unattributed work.
-    pub rid: String,
-    /// Start offset in microseconds since the owning registry's birth.
-    pub start_us: u64,
-    /// Duration in microseconds.
-    pub dur_us: u64,
-    /// Extra key/value context (e.g. `id`, `bytes`, `from`, `to`).
-    pub fields: Vec<(String, String)>,
-}
-
-impl SpanRecord {
-    /// The value of `key` in [`SpanRecord::fields`], if present.
-    pub fn field(&self, key: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Canonical span ordering used after merging snapshots, so merge stays
-/// associative (a sorted multiset is order-insensitive).
-pub(crate) fn canonical_cmp(a: &SpanRecord, b: &SpanRecord) -> std::cmp::Ordering {
-    (a.start_us, &a.name, &a.rid, a.dur_us, &a.fields)
-        .cmp(&(b.start_us, &b.name, &b.rid, b.dur_us, &b.fields))
-}
-
 // ---------------------------------------------------------------------------
 // Trace trees.
 
@@ -83,28 +53,11 @@ pub const PHASE_KEY: &str = "phase";
 /// Span field key naming the phase a span nests under.
 pub const PARENT_KEY: &str = "parent";
 
-/// A trace-document error, with the 1-based line it occurred on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What was wrong.
-    pub reason: String,
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for TraceError {}
-
 /// One node of an assembled [`TraceTree`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceNode {
     /// Phase label (`accept`, `relay`, `request`, `queue_wait`, …;
-    /// journal-derived leaves use `event.<kind>`).
+    /// journal-derived leaves use `event.<name>`).
     pub phase: String,
     /// The span or journal-event name that produced the node.
     pub name: String,
@@ -122,6 +75,19 @@ pub struct TraceNode {
 }
 
 impl TraceNode {
+    /// A childless node for phase `phase` carrying `event`'s record.
+    fn leaf(phase: String, event: Event) -> TraceNode {
+        TraceNode {
+            phase,
+            name: event.name,
+            rid: event.rid,
+            start_us: event.at_us,
+            dur_us: event.dur_us,
+            fields: event.fields,
+            children: Vec::new(),
+        }
+    }
+
     /// The value of `key` in [`TraceNode::fields`], if present.
     pub fn field(&self, key: &str) -> Option<&str> {
         self.fields
@@ -243,54 +209,34 @@ impl TraceTree {
     /// * a `parent=<label>` link attaches to the first pre-order node
     ///   whose phase is `<label>`; unresolvable links attach under the
     ///   root;
-    /// * journal events become zero-duration `event.<kind>` leaves
+    /// * journal events become zero-duration `event.<name>` leaves
     ///   under the root, marked `via=journal`;
     /// * every child list is canonically sorted.
     ///
     /// Returns `None` when nothing at all references the rid.
-    pub fn assemble(
-        rid: &str,
-        spans: &[SpanRecord],
-        events: &[crate::journal::JournalEvent],
-    ) -> Option<TraceTree> {
+    pub fn assemble(rid: &str, spans: &[Event], events: &[Event]) -> Option<TraceTree> {
         let mut candidates: Vec<(Option<String>, TraceNode)> = Vec::new();
         for span in spans.iter().filter(|s| s.rid == rid) {
             let Some(phase) = span.field(PHASE_KEY) else {
                 continue;
             };
             let parent = span.field(PARENT_KEY).map(str::to_string);
-            candidates.push((
-                parent,
-                TraceNode {
-                    phase: phase.to_string(),
-                    name: span.name.clone(),
-                    rid: span.rid.clone(),
-                    start_us: span.start_us,
-                    dur_us: span.dur_us,
-                    fields: span
-                        .fields
-                        .iter()
-                        .filter(|(k, _)| k != PHASE_KEY && k != PARENT_KEY)
-                        .cloned()
-                        .collect(),
-                    children: Vec::new(),
-                },
-            ));
+            let mut span = span.clone();
+            span.fields
+                .retain(|(k, _)| k != PHASE_KEY && k != PARENT_KEY);
+            candidates.push((parent, TraceNode::leaf(phase.to_string(), span)));
         }
         for event in events.iter().filter(|e| e.rid == rid) {
-            let mut fields = event.fields.clone();
-            fields.push(("via".to_string(), "journal".to_string()));
+            let mut event = Event {
+                dur_us: 0,
+                ..event.clone()
+            };
+            event
+                .fields
+                .push(("via".to_string(), "journal".to_string()));
             candidates.push((
                 None,
-                TraceNode {
-                    phase: format!("event.{}", event.kind),
-                    name: event.kind.clone(),
-                    rid: event.rid.clone(),
-                    start_us: event.at_us,
-                    dur_us: 0,
-                    fields,
-                    children: Vec::new(),
-                },
+                TraceNode::leaf(format!("event.{}", event.name), event),
             ));
         }
         if candidates.is_empty() {
@@ -405,17 +351,14 @@ impl TraceTree {
             self.root.dur_us
         );
         fn emit(out: &mut String, node: &TraceNode, depth: usize) {
-            use std::fmt::Write as _;
-            let rid = if node.rid.is_empty() { "-" } else { &node.rid };
-            let _ = write!(
-                out,
-                "node {depth} {} {} {rid} {} {}",
-                node.phase, node.name, node.start_us, node.dur_us
-            );
-            for (k, v) in &node.fields {
-                let _ = write!(out, " {k}={v}");
-            }
-            out.push('\n');
+            let event = Event {
+                name: node.name.clone(),
+                rid: node.rid.clone(),
+                at_us: node.start_us,
+                dur_us: node.dur_us,
+                fields: node.fields.clone(),
+            };
+            event.render_line(out, &format!("node {depth} {}", node.phase), true);
             for c in &node.children {
                 emit(out, c, depth + 1);
             }
@@ -441,18 +384,10 @@ impl TraceTree {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError`] on a missing header, malformed lines,
-    /// depth jumps, or invalid names/rids.
-    pub fn parse(text: &str) -> Result<TraceTree, TraceError> {
-        let err = |line: usize, reason: &str| TraceError {
-            line,
-            reason: reason.to_string(),
-        };
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, first)) if first.trim_end() == TRACE_HEADER => {}
-            _ => return Err(err(1, "missing `# snn-trace v1` header")),
-        }
+    /// Returns [`ParseError`] on a missing header, malformed lines,
+    /// depth jumps, or invalid names/rids/field keys.
+    pub fn parse(text: &str) -> Result<TraceTree, ParseError> {
+        let err = |line: usize, reason: &str| ParseError::new("trace", line, reason);
         let mut rid: Option<String> = None;
         // Stack of (depth, node); closing a depth folds the node into
         // its parent's child list.
@@ -468,14 +403,8 @@ impl TraceTree {
                     }
                 }
             };
-        for (i, raw) in lines {
-            let n = i + 1;
-            let line = raw.trim_end();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut tok = line.split(' ');
-            match tok.next().unwrap_or_default() {
+        for (n, tag, mut tok) in doc_body(text, "trace", TRACE_HEADER)? {
+            match tag {
                 "trace" => {
                     for pair in tok {
                         let (k, v) = pair
@@ -497,44 +426,11 @@ impl TraceTree {
                         .parse::<usize>()
                         .map_err(|_| err(n, "depth is not a usize"))?;
                     let phase = tok.next().ok_or_else(|| err(n, "missing phase"))?;
-                    let name = tok.next().ok_or_else(|| err(n, "missing name"))?;
-                    if !crate::registry::valid_name(phase) || !crate::registry::valid_name(name) {
-                        return Err(err(n, "invalid phase or name"));
+                    if !crate::registry::valid_name(phase) {
+                        return Err(err(n, "invalid phase"));
                     }
-                    let node_rid = tok.next().ok_or_else(|| err(n, "missing rid"))?;
-                    let node_rid = if node_rid == "-" {
-                        String::new()
-                    } else if valid_rid(node_rid) {
-                        node_rid.to_string()
-                    } else {
-                        return Err(err(n, "invalid rid"));
-                    };
-                    let start_us = tok
-                        .next()
-                        .ok_or_else(|| err(n, "missing start_us"))?
-                        .parse::<u64>()
-                        .map_err(|_| err(n, "start_us is not a u64"))?;
-                    let dur_us = tok
-                        .next()
-                        .ok_or_else(|| err(n, "missing dur_us"))?
-                        .parse::<u64>()
-                        .map_err(|_| err(n, "dur_us is not a u64"))?;
-                    let mut fields = Vec::new();
-                    for pair in tok {
-                        let (k, v) = pair
-                            .split_once('=')
-                            .ok_or_else(|| err(n, "node field is not k=v"))?;
-                        fields.push((k.to_string(), v.to_string()));
-                    }
-                    let node = TraceNode {
-                        phase: phase.to_string(),
-                        name: name.to_string(),
-                        rid: node_rid,
-                        start_us,
-                        dur_us,
-                        fields,
-                        children: Vec::new(),
-                    };
+                    let event = Event::parse_line(tok, true).map_err(|r| err(n, r))?;
+                    let node = TraceNode::leaf(phase.to_string(), event);
                     if depth > stack.len() {
                         return Err(err(n, "node depth jumps past its parent"));
                     }
@@ -570,10 +466,10 @@ mod tests {
 
     #[test]
     fn field_lookup() {
-        let s = SpanRecord {
+        let s = Event {
             name: "serve.ingest".into(),
             rid: "s0-1".into(),
-            start_us: 0,
+            at_us: 0,
             dur_us: 5,
             fields: vec![("id".into(), "a".into())],
         };
@@ -581,11 +477,11 @@ mod tests {
         assert_eq!(s.field("missing"), None);
     }
 
-    fn span(name: &str, rid: &str, start: u64, dur: u64, fields: &[(&str, &str)]) -> SpanRecord {
-        SpanRecord {
+    fn span(name: &str, rid: &str, start: u64, dur: u64, fields: &[(&str, &str)]) -> Event {
+        Event {
             name: name.into(),
             rid: rid.into(),
-            start_us: start,
+            at_us: start,
             dur_us: dur,
             fields: fields
                 .iter()
@@ -594,7 +490,7 @@ mod tests {
         }
     }
 
-    fn request_spans(rid: &str) -> Vec<SpanRecord> {
+    fn request_spans(rid: &str) -> Vec<Event> {
         vec![
             // Router side.
             span(
@@ -681,18 +577,19 @@ mod tests {
 
     #[test]
     fn journal_events_ride_as_leaves_and_survive_missing_spans() {
-        use crate::journal::JournalEvent;
         let events = vec![
-            JournalEvent {
-                kind: "serve.open".into(),
+            Event {
+                name: "serve.open".into(),
                 rid: "c0-7".into(),
                 at_us: 33,
+                dur_us: 0,
                 fields: vec![("id".into(), "a".into())],
             },
-            JournalEvent {
-                kind: "cluster.failover".into(),
+            Event {
+                name: "cluster.failover".into(),
                 rid: "other".into(),
                 at_us: 44,
+                dur_us: 0,
                 fields: vec![],
             },
         ];
@@ -738,10 +635,11 @@ mod tests {
         let tree = TraceTree::assemble(
             "c0-7",
             &request_spans("c0-7"),
-            &[crate::journal::JournalEvent {
-                kind: "serve.open".into(),
+            &[Event {
+                name: "serve.open".into(),
                 rid: "c0-7".into(),
                 at_us: 33,
+                dur_us: 0,
                 fields: vec![("id".into(), "a".into())],
             }],
         )

@@ -9,6 +9,10 @@
 //!   counts parses into fixed-size structures.
 //! * **Clean errors** — failures carry a 1-based line number that
 //!   actually lies within the input.
+//! * **One line grammar** — a `span` line is an `event` line plus
+//!   `dur_us`, parsed by one codec, so both reject the same hostile
+//!   field tails on the same lines.
+//! * **v1 stays v1** — committed journal files read back byte for byte.
 
 use snn_obs::{JournalSnapshot, Registry, Snapshot, HIST_BUCKETS};
 use std::time::Duration;
@@ -180,4 +184,78 @@ fn huge_claims_do_not_inflate_allocation() {
     let j = format!("# snn-journal v1\nmeta total={max} dropped={max}\nevent x - {max}\n");
     let parsed = JournalSnapshot::parse(&j).expect("extreme journal parses");
     assert_eq!(parsed.events.len(), 1, "one line, one event");
+}
+
+/// The same hostile tails — bad field key, missing `=`, bad rid,
+/// non-numeric time — fail on `span` and `event` lines alike, on the
+/// same line.
+#[test]
+fn hostile_event_tails_fail_alike_on_span_and_event_lines() {
+    // (tail after `<name>`, with the span's extra `dur_us` spliced in
+    // after the time by `{dur}`)
+    let tails = [
+        "- 1{dur} b@d=1",
+        "- 1{dur} =1",
+        "- 1{dur} loose",
+        "- 1{dur} ok=1 loose",
+        "!bad! 1{dur}",
+        "- x{dur}",
+        "-",
+        "",
+    ];
+    for tail in tails {
+        let span = format!(
+            "# snn-obs v1\ncounter c 1\nspan x {}\n",
+            tail.replace("{dur}", " 2")
+        );
+        let event = format!(
+            "# snn-journal v1\nmeta total=1 dropped=0\nevent x {}\n",
+            tail.replace("{dur}", "")
+        );
+        let span_err = Snapshot::parse(&span).expect_err(&span);
+        let event_err = JournalSnapshot::parse(&event).expect_err(&event);
+        assert_eq!(span_err.line, 3, "{span:?}: {span_err}");
+        assert_eq!(event_err.line, 3, "{event:?}: {event_err}");
+        assert_eq!(span_err.reason, event_err.reason, "one codec, one verdict");
+    }
+}
+
+/// The first lines of the committed `POSTMORTEM_cluster.journal`, verbatim.
+const POSTMORTEM_V1: &str = concat!(
+    "# snn-journal v1\n",
+    "meta total=23 dropped=0\n",
+    "event serve.open c2-1 7265 id=ch-3\n",
+    "event serve.open c2-2 8250 id=ch-1\n",
+    "event serve.open c2-4 9334 id=ch-2\n",
+    "event serve.open c2-3 14092 id=ch-0\n",
+    "event cluster.probe_fail c2-30 1075869 shard=1 strike=1\n",
+    "event cluster.scrape_fail - 1092521 shard=1\n",
+    "event cluster.scrape_fail - 1156556 shard=1\n",
+    "event cluster.scrape_fail - 1200833 shard=1\n",
+    "event cluster.scrape_fail - 1251375 shard=1\n",
+    "event cluster.scrape_fail - 1296929 shard=1\n",
+    "event cluster.scrape_fail - 1348734 shard=1\n",
+    "event cluster.probe_fail c2-30 1360134 shard=1 strike=2\n",
+    "event cluster.shard_down c2-30 1360146 shard=1\n",
+    "event serve.close c2-106 1485068 id=ch-0 samples=32\n",
+    "event serve.restore c2-104 1552909 id=ch-2 samples=16\n",
+    "event cluster.failover c2-104 1553728 id=ch-2 cause=c2-30 from=1 to=0 seq=16\n",
+    "event serve.restore c2-119 1602840 id=ch-3 samples=16\n",
+    "event cluster.failover c2-119 1604894 id=ch-3 cause=c2-30 from=1 to=0 seq=16\n",
+);
+
+/// A v1 journal written by an earlier build parses and renders back
+/// byte for byte.
+#[test]
+fn v1_postmortem_fixture_round_trips_byte_for_byte() {
+    let parsed = JournalSnapshot::parse(POSTMORTEM_V1).expect("v1 fixture parses");
+    assert_eq!(parsed.total, 23);
+    assert_eq!(parsed.events.len(), 18);
+    assert!(parsed.events.iter().all(|e| e.dur_us == 0));
+    let down = parsed.of_kind("cluster.shard_down").next().expect("death");
+    assert_eq!(
+        (down.rid.as_str(), down.field("shard")),
+        ("c2-30", Some("1"))
+    );
+    assert_eq!(parsed.render(), POSTMORTEM_V1);
 }

@@ -24,8 +24,8 @@ use snn_online::EnergyReport;
 use crate::frame::Frame;
 use crate::mux::MuxClient;
 use crate::protocol::{
-    decode_predictions, format_request, hex_decode, parse_response, tokenize, ProtocolError,
-    Request, Response, SessionSpec, MAX_LINE_BYTES, PROTO_V2, PROTO_VERSION,
+    decode_predictions, decode_trace, format_request, hex_decode, parse_response, tokenize,
+    ProtocolError, Request, Response, SessionSpec, MAX_LINE_BYTES, PROTO_V2, PROTO_VERSION,
 };
 use crate::session::ServerStats;
 
@@ -434,18 +434,10 @@ impl ServeClient {
     /// missing, badly hex-encoded, or not valid exposition text surfaces
     /// as [`ClientError::Malformed`].
     pub fn metrics(&mut self) -> ClientResult<snn_obs::Snapshot> {
-        let resp = self.call(&Request::Metrics)?;
-        let Response::Ok(fields) = &resp else {
-            return Err(ClientError::Malformed("metrics reply"));
-        };
-        let hex = fields
-            .iter()
-            .find(|(k, _)| k == "data")
-            .map(|(_, v)| v.as_str())
+        let text = self
+            .call(&Request::Metrics)?
+            .text("data")
             .ok_or(ClientError::Malformed("metrics data field"))?;
-        let bytes = hex_decode(hex).map_err(|_| ClientError::Malformed("metrics data hex"))?;
-        let text =
-            String::from_utf8(bytes).map_err(|_| ClientError::Malformed("metrics data utf-8"))?;
         snn_obs::Snapshot::parse(&text).map_err(|_| ClientError::Malformed("metrics exposition"))
     }
 
@@ -458,13 +450,10 @@ impl ServeClient {
     /// missing, badly hex-encoded, or not valid journal text surfaces as
     /// [`ClientError::Malformed`].
     pub fn journal(&mut self) -> ClientResult<snn_obs::JournalSnapshot> {
-        let resp = self.call(&Request::Journal)?;
-        let hex = resp
-            .get("data")
+        let text = self
+            .call(&Request::Journal)?
+            .text("data")
             .ok_or(ClientError::Malformed("journal data field"))?;
-        let bytes = hex_decode(hex).map_err(|_| ClientError::Malformed("journal data hex"))?;
-        let text =
-            String::from_utf8(bytes).map_err(|_| ClientError::Malformed("journal data utf-8"))?;
         snn_obs::JournalSnapshot::parse(&text).map_err(|_| ClientError::Malformed("journal text"))
     }
 
@@ -485,24 +474,7 @@ impl ServeClient {
         let resp = self.call(&Request::Trace {
             rid: rid.to_string(),
         })?;
-        let spans_hex = resp
-            .get("data")
-            .ok_or(ClientError::Malformed("trace data field"))?;
-        let bytes = hex_decode(spans_hex).map_err(|_| ClientError::Malformed("trace data hex"))?;
-        let text =
-            String::from_utf8(bytes).map_err(|_| ClientError::Malformed("trace data utf-8"))?;
-        let spans =
-            snn_obs::Snapshot::parse(&text).map_err(|_| ClientError::Malformed("trace spans"))?;
-        let journal_hex = resp
-            .get("journal")
-            .ok_or(ClientError::Malformed("trace journal field"))?;
-        let bytes =
-            hex_decode(journal_hex).map_err(|_| ClientError::Malformed("trace journal hex"))?;
-        let text =
-            String::from_utf8(bytes).map_err(|_| ClientError::Malformed("trace journal utf-8"))?;
-        let journal = snn_obs::JournalSnapshot::parse(&text)
-            .map_err(|_| ClientError::Malformed("trace journal text"))?;
-        Ok((spans, journal))
+        decode_trace(&resp).ok_or(ClientError::Malformed("trace reply"))
     }
 
     /// Fetches the assembled cluster-wide trace tree for one request id
@@ -519,16 +491,11 @@ impl ServeClient {
     /// as [`ClientError::Malformed`].
     pub fn cluster_trace(&mut self, rid: &str) -> ClientResult<snn_obs::TraceTree> {
         let reply = self.call_raw(&format!("cluster-trace rid={rid}"))?;
-        let resp = match parse_response(&reply)? {
+        let text = match parse_response(&reply)? {
             Response::Err { code, msg } => return Err(ClientError::Server { code, msg }),
-            ok => ok,
+            ok => ok.text("data"),
         };
-        let hex = resp
-            .get("data")
-            .ok_or(ClientError::Malformed("cluster-trace data field"))?;
-        let bytes = hex_decode(hex).map_err(|_| ClientError::Malformed("cluster-trace hex"))?;
-        let text =
-            String::from_utf8(bytes).map_err(|_| ClientError::Malformed("cluster-trace utf-8"))?;
+        let text = text.ok_or(ClientError::Malformed("cluster-trace data field"))?;
         snn_obs::TraceTree::parse(&text).map_err(|_| ClientError::Malformed("cluster-trace text"))
     }
 
@@ -828,15 +795,15 @@ fn parse_push(line: &str) -> ClientResult<Push> {
         return Err(ClientError::Malformed("push frame verb"));
     }
     let resp = Response::Ok(fields);
-    let decode_text = |key: &'static str| -> ClientResult<String> {
-        let hex = resp.get(key).ok_or(ClientError::Malformed(key))?;
-        let bytes = hex_decode(hex).map_err(|_| ClientError::Malformed(key))?;
-        String::from_utf8(bytes).map_err(|_| ClientError::Malformed(key))
-    };
-    let metrics = snn_obs::Snapshot::parse(&decode_text("data")?)
-        .map_err(|_| ClientError::Malformed("push metrics"))?;
-    let journal = snn_obs::JournalSnapshot::parse(&decode_text("journal")?)
-        .map_err(|_| ClientError::Malformed("push journal"))?;
+    let metrics =
+        snn_obs::Snapshot::parse(&resp.text("data").ok_or(ClientError::Malformed("data"))?)
+            .map_err(|_| ClientError::Malformed("push metrics"))?;
+    let journal = snn_obs::JournalSnapshot::parse(
+        &resp
+            .text("journal")
+            .ok_or(ClientError::Malformed("journal"))?,
+    )
+    .map_err(|_| ClientError::Malformed("push journal"))?;
     Ok(Push {
         seq: field(&resp, "seq")?,
         metrics,

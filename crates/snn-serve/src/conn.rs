@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 
 use crate::mux::{run_mux, MuxHost};
 use crate::protocol::{
-    format_response, parse_request, tokenize, Request, Response, MAX_LINE_BYTES, PROTO_V2,
-    PROTO_VERSION,
+    format_response, hex_encode, parse_request, tokenize, Request, Response, MAX_LINE_BYTES,
+    PROTO_V2, PROTO_VERSION,
 };
 
 /// How many sampled lines a proto 1 subscription buffers between its
@@ -119,33 +119,39 @@ pub(crate) fn subscribe_ack(interval: Duration) -> String {
 }
 
 /// Samples one subscription until host shutdown or subscriber loss:
-/// every `interval`, renders [`MuxHost::push_line`] and offers it to
-/// `offer`, which never blocks. A full buffer drops the line (billed to
-/// this subscriber through [`MuxHost::on_push_drop`]); a disconnected
-/// one ends the stream. Each line is one
-/// `push seq=<n> data=<hex exposition> journal=<hex journal delta>`,
-/// whose journal part carries only events recorded since the previous
-/// line, so a subscriber detects its own losses from `seq` gaps.
+/// every `interval`, builds one
+/// `push seq=<n> data=<hex exposition> journal=<hex journal delta>`
+/// line and offers it to `offer`, which never blocks. The exposition is
+/// [`MuxHost::push_metrics`]; the journal part carries only the events
+/// recorded since the previous line ([`snn_obs::Registry::journal_since`]),
+/// so a subscriber detects its own losses from `seq` gaps. A full
+/// buffer drops the line ([`MuxHost::on_push_drop`]); a disconnected
+/// one ends the stream.
 pub(crate) fn sample_pushes<H: MuxHost, T>(
     host: &H,
     interval: Duration,
     mut offer: impl FnMut(String) -> Result<(), mpsc::TrySendError<T>>,
 ) {
-    let sub = host.next_subscriber();
-    let mut cursor = host.journal_total();
+    let mut cursor = host.registry().journal_cursor();
     let mut seq = 0u64;
     loop {
         if host.is_shutdown() {
             return;
         }
         std::thread::sleep(interval);
-        let Some(line) = host.push_line(seq, &mut cursor) else {
+        let Some(metrics) = host.push_metrics() else {
             return;
         };
+        let journal = host.registry().journal_since(&mut cursor);
+        let line = format!(
+            "push seq={seq} data={} journal={}",
+            hex_encode(metrics.as_bytes()),
+            hex_encode(journal.render().as_bytes()),
+        );
         seq += 1;
         match offer(line) {
             Ok(()) => {}
-            Err(mpsc::TrySendError::Full(_)) => host.on_push_drop(sub),
+            Err(mpsc::TrySendError::Full(_)) => host.on_push_drop(),
             Err(mpsc::TrySendError::Disconnected(_)) => return,
         }
     }

@@ -30,6 +30,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use snn_obs::Registry;
+
 use crate::conn::{sample_pushes, subscribe_ack, subscribe_interval};
 use crate::frame::{line_to_frame, Frame, FrameError, FLAG_PUSH, HEADER_BYTES};
 use crate::protocol::{format_response, Response, PROTO_V2};
@@ -56,17 +58,16 @@ pub trait MuxHost: Send + Sync + 'static {
     /// never panic on hostile input.
     fn handle_line(&self, line: &str) -> (String, String);
 
-    /// Renders the next subscription push line (a `push seq=… data=…
-    /// journal=…` line), advancing `journal_cursor` past the events the
-    /// frame carries. Returning `None` ends the stream (shutdown).
-    fn push_line(&self, seq: u64, journal_cursor: &mut u64) -> Option<String>;
+    /// The registry whose journal feeds this host's subscription
+    /// pushes (each push carries the events recorded since the last).
+    fn registry(&self) -> &Registry;
+
+    /// The metrics exposition a subscription push carries. Returning
+    /// `None` ends the stream (shutdown).
+    fn push_metrics(&self) -> Option<String>;
 
     /// Whether the host is draining; push samplers exit when true.
     fn is_shutdown(&self) -> bool;
-
-    /// Initial journal cursor for a new subscription (the host's current
-    /// journal total, so the first frame carries only fresh events).
-    fn journal_total(&self) -> u64;
 
     /// Byte accounting hook: bytes that crossed the wire under protocol
     /// generation `proto` — one proto 1 line either way, one proto 2
@@ -99,17 +100,10 @@ pub trait MuxHost: Send + Sync + 'static {
         let _ = (tags_in_flight, writer_queue);
     }
 
-    /// Registers a new subscription stream, returning the sequence label
-    /// its drop accounting is filed under.
-    fn next_subscriber(&self) -> u64 {
-        0
-    }
-
-    /// A push was dropped for slow subscriber `sub` (the label
-    /// [`MuxHost::next_subscriber`] returned for its stream).
-    fn on_push_drop(&self, sub: u64) {
-        let _ = sub;
-    }
+    /// A push was dropped because a subscriber's buffer was full. The
+    /// subscriber sees the loss as a `seq` gap; hosts count it in one
+    /// aggregate counter.
+    fn on_push_drop(&self) {}
 }
 
 /// The outbound frame channel plus its depth counter: every enqueue and

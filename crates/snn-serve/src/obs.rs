@@ -68,9 +68,8 @@ pub(crate) struct ServeObs {
     pub(crate) ingest_batch: Arc<Histogram>,
     /// `serve.subscribe.drops` — push frames dropped because a
     /// subscriber's bounded buffer was full (slow consumer). The sampler
-    /// never blocks: it counts here and moves on. Per-subscriber
-    /// breakdowns live next to it as `serve.subscribe.drops.sub<N>`
-    /// (see [`ServeObs::subscriber`]).
+    /// never blocks: it counts here and moves on; the subscriber sees
+    /// its own losses as `seq` gaps.
     pub(crate) subscribe_drops: Arc<Counter>,
     /// `serve.phase.queue_wait_us` — time a job sat in its session queue
     /// between submit and its scheduler tick (the queue-wait phase of
@@ -120,9 +119,6 @@ pub(crate) struct ServeObs {
     wire_tx: [Arc<Counter>; 2],
     verb_us: HashMap<&'static str, Arc<Histogram>>,
     other_us: Arc<Histogram>,
-    /// Subscription sequence: each subscriber (proto 1 stream or proto 2
-    /// push tag) gets the next number, labelling its drop counter.
-    sub_seq: AtomicU64,
     /// Per-rid phase breakdown the scheduler stashes for the wire layer:
     /// rid → (queue_wait_us, exec_us). Taken (removed) when the request's
     /// latency exemplar is recorded, so a tail sample carries its own
@@ -175,24 +171,9 @@ impl ServeObs {
             verb_us,
             wire_rx,
             wire_tx,
-            sub_seq: AtomicU64::new(0),
             phase_notes: std::sync::Mutex::new(HashMap::new()),
             registry,
         }
-    }
-
-    /// Registers a new subscriber: its sequence number plus its
-    /// dedicated drop counter (`serve.subscribe.drops.sub<N>`), created
-    /// eagerly so even a drop-free subscriber shows up in the scrape.
-    pub(crate) fn subscriber(&self) -> (u64, Arc<Counter>) {
-        let seq = self.sub_seq.fetch_add(1, Ordering::Relaxed);
-        (seq, self.sub_drop_counter(seq))
-    }
-
-    /// The per-subscriber drop counter for subscription `seq`.
-    pub(crate) fn sub_drop_counter(&self, seq: u64) -> Arc<Counter> {
-        self.registry
-            .counter(&format!("serve.subscribe.drops.sub{seq}"))
     }
 
     /// Stashes a request's queue/exec phase split for the wire layer to
@@ -312,19 +293,6 @@ mod tests {
             snap.worst_exemplar("serve.req.other_us").unwrap().rid,
             "s9-2"
         );
-    }
-
-    #[test]
-    fn subscribers_get_distinct_drop_counters() {
-        let obs = ServeObs::new();
-        let (s0, c0) = obs.subscriber();
-        let (s1, c1) = obs.subscriber();
-        assert_ne!(s0, s1);
-        c1.inc();
-        let snap = obs.registry.snapshot();
-        assert_eq!(snap.counter(&format!("serve.subscribe.drops.sub{s1}")), 1);
-        assert_eq!(snap.counter(&format!("serve.subscribe.drops.sub{s0}")), 0);
-        drop(c0);
     }
 
     #[test]

@@ -335,6 +335,38 @@ impl Response {
             Response::Err { .. } => None,
         }
     }
+
+    /// The text carried hex-encoded in `key` of an `ok` response — the
+    /// shape of every telemetry payload (`data`, `journal`) — decoded.
+    pub fn text(&self, key: &str) -> Option<String> {
+        String::from_utf8(hex_decode(self.get(key)?).ok()?).ok()
+    }
+}
+
+/// The `trace rid=` reply both tiers answer: `registry`'s spans and
+/// journal events stamped with `rid` ([`snn_obs::Registry::trace_of`]),
+/// as a spans-only exposition in `data` and a journal in `journal`.
+/// Assembly into a tree happens at the caller (the router's
+/// `cluster-trace` merges many of these).
+pub fn trace_reply(registry: &snn_obs::Registry, rid: &str) -> Response {
+    let (spans, journal) = registry.trace_of(rid);
+    Response::ok([
+        ("instance", registry.instance().to_string()),
+        ("rid", rid.to_string()),
+        ("spans", spans.spans.len().to_string()),
+        ("events", journal.events.len().to_string()),
+        ("data", hex_encode(spans.render().as_bytes())),
+        ("journal", hex_encode(journal.render().as_bytes())),
+    ])
+}
+
+/// Decodes a [`trace_reply`] into its spans-only exposition and its
+/// journal; `None` when either is missing or malformed.
+pub fn decode_trace(resp: &Response) -> Option<(snn_obs::Snapshot, snn_obs::JournalSnapshot)> {
+    Some((
+        snn_obs::Snapshot::parse(&resp.text("data")?).ok()?,
+        snn_obs::JournalSnapshot::parse(&resp.text("journal")?).ok()?,
+    ))
 }
 
 // ---------------------------------------------------------------------------

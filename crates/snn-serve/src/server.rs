@@ -25,7 +25,7 @@ use crate::conn::serve_connection;
 use crate::mux::MuxHost;
 use crate::protocol::{
     encode_predictions, extract_rid, format_response, hello_reply, hex_encode, parse_request,
-    Request, Response, PROTO_VERSION,
+    trace_reply, Request, Response, PROTO_VERSION,
 };
 use crate::scheduler;
 use crate::session::{Job, JobOutput, JobResult, ServeError, ServeLimits, SessionManager};
@@ -289,19 +289,16 @@ impl MuxHost for ServeHost {
         );
     }
 
-    fn push_line(&self, seq: u64, journal_cursor: &mut u64) -> Option<String> {
-        if self.manager.is_shutdown() {
-            return None;
-        }
-        Some(render_push_line(&self.manager, seq, journal_cursor))
+    fn registry(&self) -> &snn_obs::Registry {
+        &self.manager.obs().registry
+    }
+
+    fn push_metrics(&self) -> Option<String> {
+        (!self.manager.is_shutdown()).then(|| self.manager.metrics_text())
     }
 
     fn is_shutdown(&self) -> bool {
         self.manager.is_shutdown()
-    }
-
-    fn journal_total(&self) -> u64 {
-        self.manager.obs().registry.journal_snapshot().total
     }
 
     fn on_wire(&self, proto: u32, rx_bytes: u64, tx_bytes: u64) {
@@ -330,36 +327,9 @@ impl MuxHost for ServeHost {
         obs.writer_queue.set(writer_queue as f64);
     }
 
-    fn next_subscriber(&self) -> u64 {
-        self.manager.obs().subscriber().0
+    fn on_push_drop(&self) {
+        self.manager.obs().subscribe_drops.inc();
     }
-
-    fn on_push_drop(&self, sub: u64) {
-        let obs = self.manager.obs();
-        obs.subscribe_drops.inc();
-        obs.sub_drop_counter(sub).inc();
-    }
-}
-
-/// Renders one subscription push line: the full metrics exposition plus
-/// the journal events born since `journal_cursor`, which advances.
-fn render_push_line(manager: &SessionManager, seq: u64, journal_cursor: &mut u64) -> String {
-    let metrics = manager.metrics_text();
-    let obs = manager.obs();
-    let mut journal = obs.registry.journal_snapshot();
-    // Delta framing: only the events born since the last frame ride
-    // along (the ring itself bounds how far back a reconnecting
-    // subscriber can catch up).
-    let fresh = (journal.total - *journal_cursor).min(journal.events.len() as u64);
-    *journal_cursor = journal.total;
-    journal
-        .events
-        .drain(..journal.events.len() - fresh as usize);
-    format!(
-        "push seq={seq} data={} journal={}",
-        hex_encode(metrics.as_bytes()),
-        hex_encode(journal.render().as_bytes()),
-    )
 }
 
 /// Executes one request to completion (for session jobs: submit, then
@@ -465,33 +435,7 @@ fn dispatch(request: Request, manager: &SessionManager, rid: &str) -> Response {
         },
         Request::Evict { id } => roundtrip(manager, &id, Job::Evict, rid),
         Request::Close { id } => roundtrip(manager, &id, Job::Close, rid),
-        // Raw trace material for one rid: this server's retained spans
-        // and journal events stamped with it, as hex-encoded exposition
-        // and journal documents. Assembly into a tree happens at the
-        // caller (the router's `cluster-trace` merges many of these).
-        Request::Trace { rid: target } => {
-            let reg = &manager.obs().registry;
-            let mut snap = reg.snapshot();
-            snap.counters.clear();
-            snap.gauges.clear();
-            snap.histograms.clear();
-            snap.exemplars.clear();
-            snap.spans.retain(|s| s.rid == target);
-            let mut journal = reg.journal_snapshot();
-            journal.events.retain(|e| e.rid == target);
-            // Re-base the meta counters onto the filtered view so the
-            // document keeps the codec's total/dropped invariant.
-            journal.total = journal.events.len() as u64;
-            journal.dropped = 0;
-            Response::ok([
-                ("instance", reg.instance().to_string()),
-                ("rid", target.clone()),
-                ("spans", snap.spans.len().to_string()),
-                ("events", journal.events.len().to_string()),
-                ("data", hex_encode(snap.render().as_bytes())),
-                ("journal", hex_encode(journal.render().as_bytes())),
-            ])
-        }
+        Request::Trace { rid: target } => trace_reply(&manager.obs().registry, &target),
     }
 }
 

@@ -550,14 +550,14 @@ fn run_chaos(scale: &HarnessScale, profile: Profile) -> ChaosOutcome {
     let down = journal
         .events
         .iter()
-        .find(|e| e.kind == "cluster.shard_down" && e.field("shard") == Some(&victim.to_string()))
+        .find(|e| e.name == "cluster.shard_down" && e.field("shard") == Some(&victim.to_string()))
         .expect("post-mortem records the victim's death");
     assert!(!down.rid.is_empty(), "the death verdict is rid-attributed");
     assert!(
         journal
             .events
             .iter()
-            .any(|e| e.kind == "cluster.probe_fail" && e.rid == down.rid),
+            .any(|e| e.name == "cluster.probe_fail" && e.rid == down.rid),
         "the probe strikes share the incident rid {}",
         down.rid
     );
@@ -565,7 +565,7 @@ fn run_chaos(scale: &HarnessScale, profile: Profile) -> ChaosOutcome {
         journal
             .events
             .iter()
-            .any(|e| e.kind == "cluster.failover" && e.field("cause") == Some(&down.rid)),
+            .any(|e| e.name == "cluster.failover" && e.field("cause") == Some(&down.rid)),
         "at least one failover cites incident {} as its cause",
         down.rid
     );
@@ -578,7 +578,7 @@ fn run_chaos(scale: &HarnessScale, profile: Profile) -> ChaosOutcome {
     for e in journal
         .events
         .iter()
-        .filter(|e| e.kind == "cluster.failover")
+        .filter(|e| e.name == "cluster.failover")
     {
         let seq = e.field("seq").and_then(|v| v.parse::<u64>().ok());
         assert!(
@@ -588,7 +588,7 @@ fn run_chaos(scale: &HarnessScale, profile: Profile) -> ChaosOutcome {
             e.field("id").map_or("?", |v| v),
         );
     }
-    for e in journal.events.iter().filter(|e| e.kind == "serve.restore") {
+    for e in journal.events.iter().filter(|e| e.name == "serve.restore") {
         let samples = e.field("samples").and_then(|v| v.parse::<u64>().ok());
         assert!(
             samples.is_some_and(|s| s >= halfway),

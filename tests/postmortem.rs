@@ -139,7 +139,7 @@ fn postmortem_journal_tail_explains_the_failover_by_rid() {
     let down = journal
         .events
         .iter()
-        .find(|e| e.kind == "cluster.shard_down" && e.field("shard") == Some(&victim.to_string()))
+        .find(|e| e.name == "cluster.shard_down" && e.field("shard") == Some(&victim.to_string()))
         .expect("merged journal records the shard death");
     let incident = down.rid.clone();
     assert!(!incident.is_empty(), "shard death is rid-attributed");
@@ -149,7 +149,7 @@ fn postmortem_journal_tail_explains_the_failover_by_rid() {
     let strikes: Vec<_> = journal
         .events
         .iter()
-        .filter(|e| e.kind == "cluster.probe_fail" && e.rid == incident)
+        .filter(|e| e.name == "cluster.probe_fail" && e.rid == incident)
         .collect();
     assert!(
         strikes.len() >= 2,
@@ -165,7 +165,7 @@ fn postmortem_journal_tail_explains_the_failover_by_rid() {
     let failovers: Vec<_> = journal
         .events
         .iter()
-        .filter(|e| e.kind == "cluster.failover" && e.field("cause") == Some(&incident))
+        .filter(|e| e.name == "cluster.failover" && e.field("cause") == Some(&incident))
         .collect();
     assert_eq!(
         failovers.len(),
@@ -180,7 +180,7 @@ fn postmortem_journal_tail_explains_the_failover_by_rid() {
             journal
                 .events
                 .iter()
-                .any(|e| e.kind == "serve.restore" && e.rid == fo.rid && e.field("id") == Some(id)),
+                .any(|e| e.name == "serve.restore" && e.rid == fo.rid && e.field("id") == Some(id)),
             "restore of {id} stitches to failover rid {}",
             fo.rid
         );
@@ -192,7 +192,7 @@ fn postmortem_journal_tail_explains_the_failover_by_rid() {
     let pm0_restores = journal
         .events
         .iter()
-        .filter(|e| e.kind == "serve.restore" && e.field("id") == Some("pm-0"))
+        .filter(|e| e.name == "serve.restore" && e.field("id") == Some("pm-0"))
         .count();
     assert!(
         pm0_restores >= 2,
